@@ -7,6 +7,7 @@ complaining about.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .data import ATTACK_KINDS, NUM_CLASSES
@@ -178,6 +179,10 @@ def _require(ok: bool, key: str, why: str) -> None:
 
 
 def validate_config(cfg: SimConfig) -> SimConfig:
+    for key, ftype in _FIELD_TYPES.items():
+        if ftype == "float" or ftype is float:
+            _require(math.isfinite(getattr(cfg, key)), key, "must be finite")
+
     positive_ints = ("vehicle_count", "model_bits", "dataset_size",
                      "feature_dim", "shard_size", "rsu_shard_size",
                      "eval_size", "local_rounds", "local_batch", "hidden1",

@@ -353,13 +353,14 @@ _NET_FILES = {"actor": "actor.bin", "critic": "critic.bin",
 
 
 def save_checkpoint(path, nets: AgentNets, cfg: SimConfig,
-                    episodes_trained: int, rng_digest: str = "") -> None:
+                    episodes_trained: int, rng_digest: str = "",
+                    scheme: str = "") -> None:
     os.makedirs(path, exist_ok=True)
     for attr, fname in _NET_FILES.items():
         save_params(getattr(nets, attr), os.path.join(path, fname))
     manifest = {"episodes_trained": int(episodes_trained),
                 "config_hash": config_hash(cfg),
-                "rng_digest": rng_digest}
+                "rng_digest": rng_digest, "scheme": scheme}
     with open(os.path.join(path, "manifest.json"), "w",
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -15,21 +15,18 @@ import numpy as np
 from .config import SimConfig
 from .data import degrade_bad_node
 from .model import (ModelParams, cross_entropy, evaluate, init_params,
-                    local_train, params_combine, params_copy, params_mean,
-                    params_scale)
+                    params_combine, params_copy, params_mean, params_scale,
+                    train_cohort)
 from .rng import substream
 from .world import World
 
 
-@dataclass
-class VehicleProfile:
-    """Per-slot snapshot of one vehicle as the engine sees it."""
+class TrustedShardError(RuntimeError):
+    """The roadside unit's clean shard no longer matches its digest."""
 
-    vid: int
-    data_count: int
-    compute_hz: float
-    rate_bps: float
-    position_x: float
+
+class FilterSoundnessError(RuntimeError):
+    """An upload passed the filter with a loss above the limit."""
 
 
 @dataclass
@@ -129,12 +126,43 @@ def threshold_accept(local_loss: float, trusted_loss: float,
     return local_loss <= ratio * trusted_loss
 
 
-def profiles(world: World) -> list:
+def _local_updates(world: World, vids, snapshot: ModelParams,
+                   cfg: SimConfig, trusted_model: GlobalModel = None):
+    """Local SGD of the vehicles ``vids`` from ``snapshot`` in one cohort.
+
+    A kept trusted model trains in the same cohort on the roadside shard,
+    from its own parameters, and is updated in place.  Returns one
+    (vid, params, announced loss, t_local, t_upload) per vehicle and the
+    trusted loss (None without a trusted model).  A degraded vehicle's
+    upload is corrupted on the way out, and the loss it announces is the
+    loss of what actually gets sent.
+    """
     rates = world.rates()
     counts = world.data_counts()
-    return [VehicleProfile(v.vid, int(counts[v.vid]), v.compute_hz,
-                           float(rates[v.vid]), v.x)
-            for v in world.vehicles]
+    shards = [world.training_batch(vid) for vid in vids]
+    starts = [snapshot] * len(vids)
+    rngs = [world.train_rng(vid) for vid in vids]
+    if trusted_model is not None:
+        starts.append(trusted_model.params)
+        shards.append(world.rsu_batch)
+        rngs.append(world.rsu_train_rng())
+    trained = train_cohort(starts, shards, rngs, cfg.local_rounds,
+                           cfg.local_lr, cfg.local_batch)
+    trusted_loss = None
+    if trusted_model is not None:
+        trusted_model.params, trusted_loss = trained.pop()
+    updates = []
+    for vid, batch, (params, loss) in zip(vids, shards, trained):
+        veh = world.vehicles[vid]
+        if veh.bad:
+            params = degrade_bad_node(params, cfg.bad_noise_scale,
+                                      world.degrade_rng(vid))
+            loss = cross_entropy(params, batch)
+        updates.append((vid, params, loss,
+                        local_delay(int(counts[vid]), cfg.cycles_per_sample,
+                                    veh.compute_hz),
+                        upload_delay(cfg.model_bits, float(rates[vid]))))
+    return updates, trusted_loss
 
 
 def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
@@ -151,34 +179,19 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
     """
     if defense_on and trusted_model is None:
         raise ValueError("defense needs a trusted model")
-    assert world.rsu_batch_intact(), "trusted shard was tampered with"
+    if not world.rsu_batch_intact():
+        raise TrustedShardError("trusted shard was tampered with")
 
-    snapshot = global_model.params
-    rates = world.rates()
-    counts = world.data_counts()
     uploads, reported, delays, skipped, stale = [], {}, {}, [], {}
-
-    for vid in sorted(int(v) for v in selected_ids):
-        veh = world.vehicles[vid]
-        t_l = local_delay(int(counts[vid]), cfg.cycles_per_sample,
-                          veh.compute_hz)
-        t_u = upload_delay(cfg.model_bits, float(rates[vid]))
-        batch = world.training_batch(vid)
-        params, loss = local_train(snapshot, batch, cfg.local_rounds,
-                                   cfg.local_lr, cfg.local_batch,
-                                   world.train_rng(vid))
-        if veh.bad:
-            # upload corruption happens on the way out; the announced loss
-            # is the loss of what actually gets sent
-            params = degrade_bad_node(params, cfg.bad_noise_scale,
-                                      world.degrade_rng(vid))
-            loss = cross_entropy(params, batch)
+    updates, trusted_loss = _local_updates(
+        world, sorted(int(v) for v in selected_ids), global_model.params,
+        cfg, trusted_model)
+    for vid, params, loss, t_l, t_u in updates:
+        delays[vid] = (t_l, t_u)
         if not math.isfinite(t_u):
             skipped.append(vid)
-            delays[vid] = (t_l, t_u)
             continue
         reported[vid] = loss
-        delays[vid] = (t_l, t_u)
         w_lt = staleness_weight(cfg.stale_base_local, t_l) \
             if lt_weight_on else 1.0
         w_ct = staleness_weight(cfg.stale_base_upload, t_u) \
@@ -186,13 +199,6 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
         stale[vid] = (w_lt, w_ct)
         uploads.append(Upload(vid, weighted_upload(params, w_lt, w_ct),
                               loss, t_l, t_u))
-
-    trusted_loss = None
-    if trusted_model is not None:
-        new_params, trusted_loss = local_train(
-            trusted_model.params, world.rsu_batch, cfg.local_rounds,
-            cfg.local_lr, cfg.local_batch, world.rsu_train_rng())
-        trusted_model.params = new_params
 
     accepted, rejected, audit = [], [], []
     filter_calls = 0
@@ -204,7 +210,10 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
                 rejected.append(up.vehicle_id)
                 continue
             limit = cfg.loss_ratio_limit * trusted_loss
-            assert up.local_loss <= limit, "accepted upload over threshold"
+            if not up.local_loss <= limit:
+                raise FilterSoundnessError(
+                    f"vehicle {up.vehicle_id} accepted with loss "
+                    f"{up.local_loss!r} over the limit {limit!r}")
             audit.append((up.vehicle_id, up.local_loss, limit))
         global_update(global_model, up.weighted_model, cfg.agg_mix)
         accepted.append(up.vehicle_id)
@@ -227,23 +236,10 @@ def sync_round(world: World, global_model: GlobalModel,
     No selection, no staleness weighting, no screening; one global step per
     slot once the slowest upload is in.
     """
-    snapshot = global_model.params
-    rates = world.rates()
-    counts = world.data_counts()
     models, reported, delays, skipped = [], {}, {}, []
-    for veh in world.vehicles:
-        vid = veh.vid
-        t_l = local_delay(int(counts[vid]), cfg.cycles_per_sample,
-                          veh.compute_hz)
-        t_u = upload_delay(cfg.model_bits, float(rates[vid]))
-        batch = world.training_batch(vid)
-        params, loss = local_train(snapshot, batch, cfg.local_rounds,
-                                   cfg.local_lr, cfg.local_batch,
-                                   world.train_rng(vid))
-        if veh.bad:
-            params = degrade_bad_node(params, cfg.bad_noise_scale,
-                                      world.degrade_rng(vid))
-            loss = cross_entropy(params, batch)
+    updates, _ = _local_updates(world, [veh.vid for veh in world.vehicles],
+                                global_model.params, cfg)
+    for vid, params, loss, t_l, t_u in updates:
         delays[vid] = (t_l, t_u)
         if not math.isfinite(t_u):
             skipped.append(vid)

@@ -211,7 +211,9 @@ def run_experiment(scheme: str, cfg: SimConfig, seed: int,
         save_config(cfg, os.path.join(out_dir, "config.txt"))
         if nets is not None and pretrained is None:
             ddpg.save_checkpoint(os.path.join(out_dir, "checkpoint"), nets,
-                                 cfg, cfg.train_episodes)
+                                 cfg, cfg.train_episodes,
+                                 rng_digest=train_res.rng_digest,
+                                 scheme=scheme)
 
     return ExperimentResult(scheme, seed, cfg_hash, rows, train_rewards,
                             phase.admissions, phase.total_slots,

@@ -64,12 +64,17 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
 
 
 def forward_stack(params: ModelParams, x: np.ndarray):
-    """Return output-layer logits and per-layer activations (for backprop)."""
+    """Return output-layer logits and per-layer activations (for backprop).
+
+    A cohort of networks runs at once when every weight carries a leading
+    learner axis, (g, fan_in, fan_out) with (g, fan_out) biases, and the
+    inputs are (g, n, dim): each learner's rows meet only its own layers.
+    """
     acts = [_as_batch(x)]
     h = acts[0]
     last = len(params.layer_weights) - 1
     for i, (w, b) in enumerate(zip(params.layer_weights, params.layer_biases)):
-        z = h @ w + b
+        z = h @ w + b[..., None, :]
         h = z if i == last else relu(z)
         acts.append(h)
     return h, acts
@@ -80,15 +85,16 @@ def backprop_from_logits(params: ModelParams, acts, dlogits: np.ndarray):
 
     Returns (grads, dinput) where grads mirrors the parameter layout and
     dinput is the gradient with respect to the input rows.  Hidden layers
-    use the relu mask of the cached activations.
+    use the relu mask of the cached activations.  Works on a cohort stack
+    as ``forward_stack`` does.
     """
     grads_w = [None] * len(params.layer_weights)
     grads_b = [None] * len(params.layer_biases)
     delta = dlogits
     for i in range(len(params.layer_weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        delta = delta @ params.layer_weights[i].T
+        grads_w[i] = acts[i].swapaxes(-1, -2) @ delta
+        grads_b[i] = delta.sum(axis=-2)
+        delta = delta @ params.layer_weights[i].swapaxes(-1, -2)
         if i > 0:
             delta = delta * (acts[i] > 0.0)
     grads = ModelParams(grads_w, grads_b, params.architecture)
@@ -112,14 +118,18 @@ def cross_entropy(params: ModelParams, batch: LabeledBatch) -> float:
 
 
 def gradient(params: ModelParams, batch: LabeledBatch) -> ModelParams:
-    """Exact gradient of the mean cross entropy over the batch."""
-    if len(batch) == 0:
+    """Exact gradient of the mean cross entropy over the batch.
+
+    On a cohort stack (see ``forward_stack``) with (g, n) labels, each
+    learner gets the gradient of the mean over its own n rows.
+    """
+    n = batch.labels.shape[-1]
+    if n == 0:
         raise ValueError("empty batch")
     logits, acts = forward_stack(params, batch.inputs)
-    probs = softmax(logits)
-    n = len(batch)
-    dlogits = probs.copy()
-    dlogits[np.arange(n), batch.labels] -= 1.0
+    dlogits = softmax(logits)
+    rows = dlogits.reshape(-1, dlogits.shape[-1])  # a view: softmax is fresh
+    rows[np.arange(len(rows)), batch.labels.ravel()] -= 1.0
     dlogits /= n
     grads, _ = backprop_from_logits(params, acts, dlogits)
     return grads
@@ -133,25 +143,91 @@ def sgd_step(params: ModelParams, grads: ModelParams,
     return params_axpy(params, grads, -eta)
 
 
+def train_cohort(starts, shards, rngs, rounds: int, eta: float,
+                 batch_size: int) -> list:
+    """Minibatch SGD for a cohort of learners in lockstep.
+
+    Learner i starts from ``starts[i]`` and makes ``rounds`` passes over
+    ``shards[i]``, reshuffled each pass by ``rngs[i].permutation``.
+    Returns one (trained parameters, mean loss of the final model on the
+    whole shard) per learner, in input order.
+
+    Each learner's result is bit-identical to training it alone: the
+    learners are ordered by shard size, largest first, so those that still
+    hold a full minibatch at a step are a prefix of the stack and take one
+    stacked step.  A short last minibatch is never padded; it steps
+    together with the learners of the same shard size only.  Every learner
+    thus sees the matrix shapes, and so the summation order, of its solo
+    run.
+    """
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    if eta < 0.0:
+        raise ValueError("learning rate must be nonnegative")
+    if not len(starts) == len(shards) == len(rngs):
+        raise ValueError("one start, shard and rng per learner")
+    if not starts:
+        return []
+    if any(len(shard) == 0 for shard in shards):
+        raise ValueError("empty batch")
+    arch = starts[0].architecture
+    if any(s.architecture != arch for s in starts):
+        raise ValueError("parameter shapes disagree")
+
+    order = sorted(range(len(shards)), key=lambda i: -len(shards[i]))
+    sizes = [len(shards[i]) for i in order]
+    stack = ModelParams(
+        [np.stack([starts[i].layer_weights[k] for i in order])
+         for k in range(len(arch) - 1)],
+        [np.stack([starts[i].layer_biases[k] for i in order])
+         for k in range(len(arch) - 1)], arch)
+    inputs = np.empty((len(order), sizes[0], arch[0]))
+    labels = np.empty((len(order), sizes[0]), dtype=np.intp)
+
+    def step(first: int, stop: int, lo: int, hi: int) -> None:
+        view = ModelParams([w[first:stop] for w in stack.layer_weights],
+                           [b[first:stop] for b in stack.layer_biases], arch)
+        grads = gradient(view, LabeledBatch(inputs[first:stop, lo:hi],
+                                            labels[first:stop, lo:hi]))
+        for p, g in zip(view.layer_weights + view.layer_biases,
+                        grads.layer_weights + grads.layer_biases):
+            p += (-eta) * g
+
+    for _ in range(rounds):
+        for row, (i, n) in enumerate(zip(order, sizes)):
+            perm = rngs[i].permutation(n)
+            inputs[row, :n] = shards[i].inputs[perm]
+            labels[row, :n] = shards[i].labels[perm]
+        for lo in range(0, sizes[0], batch_size):
+            hi = lo + batch_size
+            full = sum(n >= hi for n in sizes)
+            if full:
+                step(0, full, lo, hi)
+            row = full
+            while row < len(sizes) and sizes[row] > lo:
+                stop = row + sizes.count(sizes[row])
+                step(row, stop, lo, sizes[row])
+                row = stop
+
+    out = [None] * len(order)
+    for row, i in enumerate(order):
+        params = ModelParams([w[row].copy() for w in stack.layer_weights],
+                             [b[row].copy() for b in stack.layer_biases],
+                             arch)
+        out[i] = (params, cross_entropy(params, shards[i]))
+    return out
+
+
 def local_train(start: ModelParams, shard: LabeledBatch, rounds: int,
                 eta: float, batch_size: int,
                 rng: np.random.Generator):
     """Minibatch SGD for ``rounds`` full passes over the shard.
 
     Returns the trained parameters and the mean loss of the final model on
-    the whole shard.
+    the whole shard: a cohort of one.
     """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    n = len(shard)
-    params = start
-    for _ in range(rounds):
-        order = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            idx = order[lo:lo + batch_size]
-            mb = LabeledBatch(shard.inputs[idx], shard.labels[idx])
-            params = sgd_step(params, gradient(params, mb), eta)
-    return params, cross_entropy(params, shard)
+    return train_cohort([start], [shard], [rng], rounds, eta,
+                        batch_size)[0]
 
 
 def evaluate(params: ModelParams, batch: LabeledBatch):

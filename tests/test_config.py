@@ -1,5 +1,6 @@
 """Configuration parsing, validation and hashing unit tests."""
 
+import math
 from dataclasses import fields, replace
 
 import pytest
@@ -101,6 +102,29 @@ def test_tuple_and_bool_parsing(tmp_path):
 def test_validation_rejects(field, value):
     with pytest.raises(ConfigError, match=field.split("_")[0]):
         validate_config(replace(SimConfig(), **{field: value}))
+
+
+FLOAT_FIELDS = [f.name for f in fields(SimConfig) if f.type in (float, "float")]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_validation_rejects_non_finite_floats(field, value):
+    with pytest.raises(ConfigError, match=f"'{field}': must be finite"):
+        validate_config(replace(SimConfig(), **{field: value}))
+
+
+def test_float_fields_cover_the_unchecked_keys():
+    assert {"tx_power_w", "compute_max_hz", "blob_spread",
+            "loss_ratio_limit", "local_lr", "bad_noise_scale",
+            "path_loss_exp"} <= set(FLOAT_FIELDS)
+
+
+def test_load_rejects_infinite_value(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("tx_power_w = inf\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="tx_power_w"):
+        load_config(path)
 
 
 def test_validation_accepts_edge_values():

@@ -5,18 +5,24 @@ episodes) so each test stays in the millisecond range.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import vecafl
 from conftest import make_params, params_allclose
+from vecafl import engine
 from vecafl.config import SimConfig, validate_config
-from vecafl.engine import (GlobalModel, global_update, local_delay,
+from vecafl.engine import (FilterSoundnessError, GlobalModel,
+                           TrustedShardError, global_update, local_delay,
                            run_afl_slot, run_phase, staleness_weight,
                            threshold_accept, upload_delay, weighted_upload)
-from vecafl.model import (flatten_params, init_params, local_train,
-                          params_copy)
+from vecafl.model import (LabeledBatch, flatten_params, init_params,
+                          local_train, params_copy)
 from vecafl.rng import substream
 from vecafl.world import World, build_dataset
 
@@ -268,6 +274,51 @@ def test_defense_requires_trusted_model():
     gm = GlobalModel(init_params(cfg.classifier_arch, substream(57, "g")))
     with pytest.raises(ValueError):
         run_afl_slot(world, [0], gm, None, cfg, defense_on=True)
+
+
+def test_tampered_trusted_shard_raises():
+    cfg = tiny_cfg()
+    world = World(cfg, build_dataset(cfg, 60), 60, "test", 1)
+    gm = GlobalModel(init_params(cfg.classifier_arch, substream(60, "g")))
+    trusted = GlobalModel(params_copy(gm.params))
+    rsu = world.rsu_batch
+    world.rsu_batch = LabeledBatch(rsu.inputs, (rsu.labels + 1) % 10)
+    with pytest.raises(TrustedShardError):
+        run_afl_slot(world, [0, 1], gm, trusted, cfg, defense_on=True)
+    assert gm.update_count == 0
+
+
+def test_trusted_shard_check_survives_optimized_mode():
+    code = (
+        "from dataclasses import replace\n"
+        "from vecafl.config import SimConfig\n"
+        "from vecafl.engine import GlobalModel, TrustedShardError, "
+        "run_afl_slot\n"
+        "from vecafl.model import LabeledBatch, init_params\n"
+        "from vecafl.rng import substream\n"
+        "from vecafl.world import World, build_dataset\n"
+        "cfg = replace(SimConfig(), slots_per_episode=1)\n"
+        "world = World(cfg, build_dataset(cfg, 1), 1, 'test', 1)\n"
+        "rsu = world.rsu_batch\n"
+        "world.rsu_batch = LabeledBatch(rsu.inputs, (rsu.labels + 1) % 10)\n"
+        "gm = GlobalModel(init_params(cfg.classifier_arch, substream(1)))\n"
+        "try:\n"
+        "    run_afl_slot(world, [], gm, None, cfg, defense_on=False)\n"
+        "except TrustedShardError:\n"
+        "    print('raised')\n")
+    src = os.path.dirname(os.path.dirname(vecafl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised"
+
+
+def test_accepted_upload_over_limit_raises(monkeypatch):
+    # a filter that waves everything through lets the tampered upload in
+    monkeypatch.setattr(engine, "threshold_accept", lambda *args: True)
+    with pytest.raises(FilterSoundnessError, match="vehicle 1"):
+        fitted_attack_slot(58)
 
 
 def fitted_attack_slot(seed, **cfg_overrides):

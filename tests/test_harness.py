@@ -1,5 +1,6 @@
 """Orchestration tests: metrics plumbing, scheme recipes, paired seeds."""
 
+import json
 import math
 import os
 from dataclasses import fields, replace
@@ -7,6 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from vecafl import ddpg
 from vecafl.config import SimConfig, config_hash, validate_config
 from vecafl.engine import PhaseRecord
 from vecafl.harness import (SCHEMES, MetricsRow, _phase_rows, _scheme_flags,
@@ -196,6 +198,18 @@ def test_learned_cell_saves_checkpoint_and_pairs_with_baseline(tmp_path):
     assert learned.train_rewards.shape == (cfg.train_episodes,)
     baseline = run_experiment("plain_afl", cfg, 17)
     assert learned.test_digests == baseline.test_digests
+
+
+def test_checkpoint_manifest_records_rng_digest_and_scheme(tmp_path):
+    cfg = tiny_cfg()
+    out = tmp_path / "ddafl_no_lt"
+    run_experiment("ddafl_no_lt", cfg, 23, out_dir=str(out))
+    manifest = json.loads((out / "checkpoint" / "manifest.json")
+                          .read_text(encoding="utf-8"))
+    trained = ddpg.train(cfg, build_dataset(cfg, 23), 23, lt_weight_on=False)
+    assert trained.rng_digest
+    assert manifest["rng_digest"] == trained.rng_digest
+    assert manifest["scheme"] == "ddafl_no_lt"
 
 
 def test_ablation_cells_log_unit_weights():

@@ -11,7 +11,7 @@ from vecafl.model import (LabeledBatch, cross_entropy, evaluate,
                           params_axpy, params_combine, params_copy,
                           params_from_bytes, params_mean, params_scale,
                           params_to_bytes, save_params, sgd_step,
-                          unflatten_params)
+                          train_cohort, unflatten_params)
 from vecafl.rng import substream
 
 LN10 = 2.3025850929940457
@@ -205,6 +205,121 @@ def test_local_train_rejects_bad_batch_size():
     with pytest.raises(ValueError):
         local_train(start, balanced_batch(20, 6), 1, 0.1, 0,
                     substream(18, "lt"))
+
+
+# -- cohort training -----------------------------------------------------------
+
+
+def solo_reference(start, shard, rounds, eta, batch_size, rng):
+    """Per-learner minibatch SGD, one minibatch at a time."""
+    params = start
+    n = len(shard)
+    for _ in range(rounds):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            idx = order[lo:lo + batch_size]
+            mb = LabeledBatch(shard.inputs[idx], shard.labels[idx])
+            params = sgd_step(params, gradient(params, mb), eta)
+    return params, cross_entropy(params, shard)
+
+
+def random_shard(n, dim, seed):
+    rng = substream(seed, "cohort-shard")
+    return LabeledBatch(rng.standard_normal((n, dim)),
+                        rng.integers(0, 10, size=n))
+
+
+def check_cohort(arch, sizes, batch_size, rounds=2, eta=0.05,
+                 distinct_starts=True, seed=0):
+    starts = [init_params(arch, substream(seed, "start",
+                                          i if distinct_starts else 0))
+              for i in range(len(sizes))]
+    shards = [random_shard(n, arch[0], 100 * seed + i)
+              for i, n in enumerate(sizes)]
+    rngs = lambda: [substream(seed, "perm", i) for i in range(len(sizes))]
+    got = train_cohort(starts, shards, rngs(), rounds, eta, batch_size)
+    want = [solo_reference(*args, rounds, eta, batch_size, rng)
+            for args, rng in zip(zip(starts, shards), rngs())]
+    assert len(got) == len(want)
+    for (gp, gl), (wp, wl) in zip(got, want):
+        assert gp.architecture == wp.architecture
+        assert np.max(np.abs(flatten_params(gp) - flatten_params(wp))) == 0.0
+        assert abs(gl - wl) == 0.0
+
+
+def test_cohort_matches_solo_on_unequal_slot_shards():
+    # vehicle, degraded vehicle and roadside shard sizes, out of order
+    check_cohort((64, 32, 10), [250, 1000, 600], 32, eta=0.005,
+                 distinct_starts=False, seed=1)
+
+
+def test_cohort_matches_solo_with_distinct_starts():
+    check_cohort((64, 32, 10), [1000, 1000, 250, 600], 32, eta=0.005,
+                 seed=2)
+
+
+def test_cohort_matches_solo_when_shard_is_below_the_batch():
+    check_cohort((64, 32, 10), [20, 100, 20, 1], 32, seed=3)
+
+
+def test_cohort_matches_solo_when_batch_divides_the_shard():
+    check_cohort((64, 32, 10), [640, 96, 64], 32, seed=4)
+
+
+def test_cohort_of_one_matches_solo():
+    check_cohort((64, 32, 10), [250], 32, seed=5)
+
+
+def test_cohort_zero_rounds_returns_starts_and_their_loss():
+    check_cohort((64, 32, 10), [600, 250], 32, rounds=0, seed=6)
+
+
+def test_cohort_matches_solo_on_tiny_net_at_odd_batch():
+    check_cohort((8, 6, 10), [50, 14, 7, 3, 49], 7, rounds=4, eta=0.1,
+                 seed=7)
+
+
+def test_cohort_of_none_is_empty():
+    assert train_cohort([], [], [], 3, 0.1, 8) == []
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_cohort_rejects_bad_batch_size(batch_size):
+    start = init_params((6, 4, 10), substream(16, "lt"))
+    with pytest.raises(ValueError, match="batch_size"):
+        train_cohort([start], [balanced_batch(20, 6)],
+                     [substream(18, "lt")], 1, 0.1, batch_size)
+
+
+def test_cohort_rejects_mismatched_learners():
+    start = init_params((6, 4, 10), substream(16, "lt"))
+    other = init_params((6, 5, 10), substream(16, "lt"))
+    shard = balanced_batch(20, 6)
+    with pytest.raises(ValueError):
+        train_cohort([start, other], [shard, shard],
+                     [substream(1), substream(2)], 1, 0.1, 8)
+    with pytest.raises(ValueError):
+        train_cohort([start], [shard, shard], [substream(1)], 1, 0.1, 8)
+
+
+def test_gradient_matches_plain_two_dimensional_backprop():
+    # the rank-generic kernel against the textbook 2-d form, bit for bit
+    params = init_params((8, 6, 5, 10), substream(8, "grad"))
+    batch = random_shard(13, 8, 9)
+    w, b = params.layer_weights, params.layer_biases
+    acts = [batch.inputs]
+    for i in range(3):
+        z = acts[-1] @ w[i] + b[i]
+        acts.append(z if i == 2 else np.maximum(z, 0.0))
+    e = np.exp(acts[-1] - acts[-1].max(axis=-1, keepdims=True))
+    delta = e / e.sum(axis=-1, keepdims=True)
+    delta[np.arange(13), batch.labels] -= 1.0
+    delta /= 13
+    got = gradient(params, batch)
+    for i in (2, 1, 0):
+        assert np.array_equal(got.layer_weights[i], acts[i].T @ delta)
+        assert np.array_equal(got.layer_biases[i], delta.sum(axis=0))
+        delta = (delta @ w[i].T) * (acts[i] > 0.0)
 
 
 # -- evaluation ---------------------------------------------------------------
