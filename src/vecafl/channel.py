@@ -161,13 +161,6 @@ def complex_gaussian(rng: np.random.Generator) -> complex:
     return complex(re, im) / math.sqrt(2.0)
 
 
-def initial_channel(rho: float, doppler_hz: float,
-                    rng: np.random.Generator) -> ChannelState:
-    """Stationary draw of the fading state."""
-    return ChannelState(gain=complex_gaussian(rng), rho=rho,
-                        doppler_hz=doppler_hz)
-
-
 def evolve_channel(state: ChannelState, innovation: complex) -> ChannelState:
     """One autoregressive step of the gain.
 

@@ -63,6 +63,28 @@ class SlotResult:
     filter_calls: int
     accept_audit: list = field(default_factory=list)  # (vid, loss, limit)
     stale_weights: dict = field(default_factory=dict)  # vid -> (w_lt, w_ct)
+    reject_reasons: dict = field(default_factory=dict)  # vid -> why rejected
+
+
+NONFINITE = "nonfinite"     # a NaN or inf announced loss or parameter
+LOSS_LIMIT = "loss_limit"   # announced loss above the filter's limit
+
+
+def finite_upload(params: ModelParams, loss: float) -> bool:
+    """True when the announced loss and every parameter are finite."""
+    return math.isfinite(loss) and all(
+        np.isfinite(a).all()
+        for a in params.layer_weights + params.layer_biases)
+
+
+def _slot_means(reported: dict, delays: dict, pool, arrived):
+    """Mean announced loss over ``pool`` and mean delay over ``arrived``;
+    nan when empty."""
+    avg_loss = float(np.mean([reported[v] for v in pool])) if pool \
+        else math.nan
+    mean_delay = float(np.mean([delays[v][0] + delays[v][1]
+                                for v in arrived])) if arrived else math.nan
+    return avg_loss, mean_delay
 
 
 def local_delay(data_count: int, cycles_per_sample: float,
@@ -175,7 +197,9 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
     head of the slot; their weighted uploads are applied sequentially in
     arrival order with id as the tie-break.  When ``defense_on``, each
     upload must pass the trusted-loss threshold before it touches the
-    global model (a trusted model is then required).
+    global model (a trusted model is then required).  An upload with a
+    non-finite loss or parameter is rejected either way, and the slot's
+    mean loss and delay leave it out.
     """
     if defense_on and trusted_model is None:
         raise ValueError("defense needs a trusted model")
@@ -200,14 +224,19 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
         uploads.append(Upload(vid, weighted_upload(params, w_lt, w_ct),
                               loss, t_l, t_u))
 
-    accepted, rejected, audit = [], [], []
+    accepted, rejected, audit, reasons = [], [], [], {}
     filter_calls = 0
     for up in sorted(uploads, key=lambda u: (u.arrival, u.vehicle_id)):
+        if not finite_upload(up.weighted_model, up.local_loss):
+            rejected.append(up.vehicle_id)
+            reasons[up.vehicle_id] = NONFINITE
+            continue
         if defense_on:
             filter_calls += 1
             if not threshold_accept(up.local_loss, trusted_loss,
                                     cfg.loss_ratio_limit):
                 rejected.append(up.vehicle_id)
+                reasons[up.vehicle_id] = LOSS_LIMIT
                 continue
             limit = cfg.loss_ratio_limit * trusted_loss
             if not up.local_loss <= limit:
@@ -218,25 +247,24 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
         global_update(global_model, up.weighted_model, cfg.agg_mix)
         accepted.append(up.vehicle_id)
 
-    pool = accepted if cfg.loss_avg_accepted_only else sorted(reported)
-    avg_loss = float(np.mean([reported[v] for v in pool])) if pool \
-        else math.nan
-    arrived = sorted(reported)
-    mean_delay = float(np.mean([delays[v][0] + delays[v][1]
-                                for v in arrived])) if arrived else math.nan
+    finite = [v for v in sorted(reported) if reasons.get(v) != NONFINITE]
+    avg_loss, mean_delay = _slot_means(
+        reported, delays,
+        accepted if cfg.loss_avg_accepted_only else finite, finite)
     return SlotResult(avg_loss, reported, delays, accepted, rejected,
                       skipped, trusted_loss, mean_delay, filter_calls, audit,
-                      stale)
+                      stale, reject_reasons=reasons)
 
 
 def sync_round(world: World, global_model: GlobalModel,
                cfg: SimConfig) -> SlotResult:
     """Synchronous baseline: wait for every vehicle, average equally.
 
-    No selection, no staleness weighting, no screening; one global step per
-    slot once the slowest upload is in.
+    No selection, no staleness weighting, no screening beyond dropping
+    uploads with a non-finite loss or parameter; one global step per slot
+    once the slowest upload is in.
     """
-    models, reported, delays, skipped = [], {}, {}, []
+    models, reported, delays, skipped, reasons = [], {}, {}, [], {}
     updates, _ = _local_updates(world, [veh.vid for veh in world.vehicles],
                                 global_model.params, cfg)
     for vid, params, loss, t_l, t_u in updates:
@@ -245,17 +273,17 @@ def sync_round(world: World, global_model: GlobalModel,
             skipped.append(vid)
             continue
         reported[vid] = loss
+        if not finite_upload(params, loss):
+            reasons[vid] = NONFINITE
+            continue
         models.append(params)
     if models:
         global_model.params = params_mean(models)
         global_model.update_count += len(models)
-    arrived = sorted(reported)
-    avg_loss = float(np.mean([reported[v] for v in arrived])) if arrived \
-        else math.nan
-    mean_delay = float(np.mean([delays[v][0] + delays[v][1]
-                                for v in arrived])) if arrived else math.nan
-    return SlotResult(avg_loss, reported, delays, arrived, [], skipped,
-                      None, mean_delay, 0, [])
+    folded = [v for v in sorted(reported) if v not in reasons]
+    avg_loss, mean_delay = _slot_means(reported, delays, folded, folded)
+    return SlotResult(avg_loss, reported, delays, folded, sorted(reasons),
+                      skipped, None, mean_delay, 0, reject_reasons=reasons)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,11 @@ def cross_entropy(params: ModelParams, batch: LabeledBatch) -> float:
     if len(batch) == 0:
         raise ValueError("empty batch")
     probs = softmax(forward_stack(params, batch.inputs)[0])
-    picked = probs[np.arange(len(batch)), batch.labels]
+    return _mean_nll(probs[np.arange(len(batch)), batch.labels])
+
+
+def _mean_nll(picked: np.ndarray) -> float:
+    """Mean negative log of the true-class probabilities ``picked``."""
     return float(-np.mean(np.log(np.maximum(picked, LOG_CLAMP))))
 
 
@@ -143,6 +147,55 @@ def sgd_step(params: ModelParams, grads: ModelParams,
     return params_axpy(params, grads, -eta)
 
 
+# Row block of the final loss: a multiple of the BLAS kernels' row panels,
+# so that blocked logits equal whole-shard ones, and small enough that the
+# default net's widest product (64 x 64 x 32) stays under OpenBLAS's
+# threading threshold of 262,144.
+LOSS_ROWS = 64
+
+
+def _step_plan(sizes, block: int, join_lone_row: bool = False) -> list:
+    """Stacked steps (first, stop, lo, hi) over learners sorted by size.
+
+    ``sizes`` runs largest first.  Each learner's rows are cut into blocks
+    of ``block`` rows from row 0, and learners that share a block's bounds
+    and sit next to each other in the order step together: rows lo:hi of
+    learners first:stop.  Those still holding a full block are a prefix;
+    the learners of one shard size share their short last block.  With
+    ``join_lone_row`` a last block of one row is joined to the block before
+    it, so that no block but a one-row shard is a single row.
+    """
+    steps = []
+    for lo in range(0, sizes[0], block):
+        ends = []
+        for n in sizes:
+            hi = min(lo + block, n)
+            if join_lone_row and n - hi == 1:
+                hi = n
+            elif join_lone_row and lo and n - lo == 1:
+                hi = lo  # joined to the block before
+            ends.append(hi)
+        first = 0
+        for row in range(1, len(sizes) + 1):
+            if row == len(sizes) or ends[row] != ends[first]:
+                if ends[first] > lo:
+                    steps.append((first, row, lo, ends[first]))
+                first = row
+    return steps
+
+
+def _layer_views(flat: np.ndarray, architecture) -> list:
+    """(weights, biases) views per layer of a (g, P) stack of flat vectors."""
+    views, pos = [], 0
+    for fan_in, fan_out in zip(architecture[:-1], architecture[1:]):
+        w = flat[:, pos:pos + fan_in * fan_out]
+        pos += fan_in * fan_out
+        views.append((w.reshape(len(flat), fan_in, fan_out),
+                      flat[:, pos:pos + fan_out]))
+        pos += fan_out
+    return views
+
+
 def train_cohort(starts, shards, rngs, rounds: int, eta: float,
                  batch_size: int) -> list:
     """Minibatch SGD for a cohort of learners in lockstep.
@@ -152,13 +205,20 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     Returns one (trained parameters, mean loss of the final model on the
     whole shard) per learner, in input order.
 
-    Each learner's result is bit-identical to training it alone: the
-    learners are ordered by shard size, largest first, so those that still
-    hold a full minibatch at a step are a prefix of the stack and take one
-    stacked step.  A short last minibatch is never padded; it steps
-    together with the learners of the same shard size only.  Every learner
-    thus sees the matrix shapes, and so the summation order, of its solo
-    run.
+    Each learner's result is bit-identical to training it alone with
+    ``gradient`` and ``sgd_step`` and scoring it with ``cross_entropy``.
+    The learners are ordered by shard size, largest first, so that every
+    stacked operand is a view and each learner meets the matrix shapes, and
+    so the summation order, of its solo run: see ``_step_plan``.  A short
+    last minibatch is never padded.  The parameters live in one (g, P)
+    stack in the ``flatten_params`` layout, and the gradients in a second
+    one, so a step ends in one fused update.
+
+    The final loss runs over row blocks of ``LOSS_ROWS``.  A row's logits
+    from a block equal those from the whole shard because the blocks start
+    on the BLAS kernel's row panels and no block but a one-row shard is a
+    single row, which numpy hands to a matrix-vector kernel instead.
+    Keeping every product this small also keeps BLAS on one thread.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -176,45 +236,88 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
 
     order = sorted(range(len(shards)), key=lambda i: -len(shards[i]))
     sizes = [len(shards[i]) for i in order]
-    stack = ModelParams(
-        [np.stack([starts[i].layer_weights[k] for i in order])
-         for k in range(len(arch) - 1)],
-        [np.stack([starts[i].layer_biases[k] for i in order])
-         for k in range(len(arch) - 1)], arch)
-    inputs = np.empty((len(order), sizes[0], arch[0]))
-    labels = np.empty((len(order), sizes[0]), dtype=np.intp)
+    batches = [LabeledBatch(np.asarray(shards[i].inputs, dtype=float),
+                            np.asarray(shards[i].labels, dtype=np.intp))
+               for i in order]
+    g, rows = len(order), min(sizes[0], max(batch_size, LOSS_ROWS + 1))
+    stack = np.stack([flatten_params(starts[i]) for i in order])
+    grads = np.empty_like(stack)
+    layers = _layer_views(stack, arch)
+    grad_layers = _layer_views(grads, arch)
+    inputs = np.empty((g, sizes[0], arch[0]))
+    labels = np.empty((g, sizes[0]), dtype=np.intp)
+    # scratch rows for the layer outputs and the backpropagated errors; a
+    # step views the head of each as a contiguous (learners, rows, width)
+    outs = [np.empty((g * rows, n)) for n in arch[1:]]
+    deltas = [np.empty((g * rows, n)) for n in arch[1:-1]]
+    index = np.arange(max(g, rows))
+    last = len(layers) - 1
 
-    def step(first: int, stop: int, lo: int, hi: int) -> None:
-        view = ModelParams([w[first:stop] for w in stack.layer_weights],
-                           [b[first:stop] for b in stack.layer_biases], arch)
-        grads = gradient(view, LabeledBatch(inputs[first:stop, lo:hi],
-                                            labels[first:stop, lo:hi]))
-        for p, g in zip(view.layer_weights + view.layer_biases,
-                        grads.layer_weights + grads.layer_biases):
-            p += (-eta) * g
+    def scratch(buf, first, stop, lo, hi):
+        return buf[:(stop - first) * (hi - lo)].reshape(stop - first, hi - lo,
+                                                        -1)
 
+    def forward(first, stop, lo, hi):
+        """Layer inputs, then class probabilities, of rows lo:hi of
+        learners first:stop."""
+        acts = [inputs[first:stop, lo:hi]]
+        for k, (w, b) in enumerate(layers):
+            z = np.matmul(acts[-1], w[first:stop],
+                          out=scratch(outs[k], first, stop, lo, hi))
+            z += b[first:stop, None, :]
+            if k < last:
+                np.maximum(z, 0.0, out=z)
+            acts.append(z)
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=-1, keepdims=True)
+        return acts
+
+    def step(first, stop, lo, hi):
+        acts = forward(first, stop, lo, hi)
+        delta = acts.pop()
+        delta[index[:stop - first, None], index[:hi - lo],
+              labels[first:stop, lo:hi]] -= 1.0
+        delta /= hi - lo
+        for k in range(last, -1, -1):
+            gw, gb = grad_layers[k]
+            np.matmul(acts[k].swapaxes(-1, -2), delta, out=gw[first:stop])
+            np.sum(delta, axis=-2, out=gb[first:stop])
+            if k:  # the input rows need no gradient
+                delta = np.matmul(delta, layers[k][0][first:stop]
+                                  .swapaxes(-1, -2),
+                                  out=scratch(deltas[k - 1], first, stop,
+                                              lo, hi))
+                delta *= acts[k] > 0.0
+        update = grads[first:stop]
+        update *= -eta
+        stack[first:stop] += update
+
+    plan = _step_plan(sizes, batch_size)
     for _ in range(rounds):
-        for row, (i, n) in enumerate(zip(order, sizes)):
-            perm = rngs[i].permutation(n)
-            inputs[row, :n] = shards[i].inputs[perm]
-            labels[row, :n] = shards[i].labels[perm]
-        for lo in range(0, sizes[0], batch_size):
-            hi = lo + batch_size
-            full = sum(n >= hi for n in sizes)
-            if full:
-                step(0, full, lo, hi)
-            row = full
-            while row < len(sizes) and sizes[row] > lo:
-                stop = row + sizes.count(sizes[row])
-                step(row, stop, lo, sizes[row])
-                row = stop
+        for row, (i, batch) in enumerate(zip(order, batches)):
+            perm = rngs[i].permutation(len(batch))
+            # a permutation is in range, so "clip" only skips a buffer
+            np.take(batch.inputs, perm, axis=0, out=inputs[row, :len(batch)],
+                    mode="clip")
+            np.take(batch.labels, perm, out=labels[row, :len(batch)],
+                    mode="clip")
+        for first, stop, lo, hi in plan:
+            step(first, stop, lo, hi)
 
-    out = [None] * len(order)
+    picked = np.empty((g, sizes[0]))
+    for row, batch in enumerate(batches):
+        inputs[row, :len(batch)] = batch.inputs
+        labels[row, :len(batch)] = batch.labels
+    for first, stop, lo, hi in _step_plan(sizes, LOSS_ROWS,
+                                          join_lone_row=True):
+        probs = forward(first, stop, lo, hi)[-1]
+        picked[first:stop, lo:hi] = np.take_along_axis(
+            probs, labels[first:stop, lo:hi, None], axis=-1)[..., 0]
+    out = [None] * g
     for row, i in enumerate(order):
-        params = ModelParams([w[row].copy() for w in stack.layer_weights],
-                             [b[row].copy() for b in stack.layer_biases],
-                             arch)
-        out[i] = (params, cross_entropy(params, shards[i]))
+        out[i] = (unflatten_params(stack[row], arch),
+                  _mean_nll(picked[row, :sizes[row]]))
     return out
 
 
@@ -236,17 +339,6 @@ def evaluate(params: ModelParams, batch: LabeledBatch):
     pred = probs.argmax(axis=1)
     acc = float(np.mean(pred == batch.labels))
     return acc, 1.0 - acc
-
-
-def model_size_bits(params: ModelParams, configured_bits: int = 5000) -> int:
-    """Upload payload size used for air-time accounting.
-
-    The scenario fixes the payload as a constant independent of the actual
-    parameter count, so this just validates and passes the constant through.
-    """
-    if configured_bits <= 0:
-        raise ValueError("configured_bits must be positive")
-    return int(configured_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from vecafl import ddpg
-from vecafl.channel import (LinkBudget, Position3, advance_position,
-                            bessel_j0, channel_correlation, complex_gaussian,
-                            cos_bearing_angle, distance_to_antenna,
-                            doppler_freq, evolve_channel, initial_channel,
+from vecafl.channel import (ChannelState, LinkBudget, Position3,
+                            advance_position, bessel_j0, channel_correlation,
+                            complex_gaussian, cos_bearing_angle,
+                            distance_to_antenna, doppler_freq, evolve_channel,
                             transmission_rate)
 from vecafl.config import SimConfig
 from vecafl.ddpg import (AgentNets, OUNoise, actor_forward, actor_update,
@@ -34,6 +34,8 @@ from vecafl.model import (LabeledBatch, cross_entropy, flatten_params,
                           gradient, init_params, params_copy,
                           unflatten_params)
 from vecafl.world import build_dataset
+
+pytestmark = pytest.mark.slow  # minutes of training; `-m "not slow"` skips
 
 
 def _verdict(index, label, ok, detail):
@@ -174,7 +176,7 @@ def _kernel_oracle_errors():
         track("correlation", _mp_rel(channel_correlation(fd, cd), corr_o))
 
         rho = rng.uniform(-0.99, 0.99)
-        state = initial_channel(rho, 0.0, rng)
+        state = ChannelState(complex_gaussian(rng), rho, 0.0)
         inn = complex_gaussian(rng)
         new_gain = evolve_channel(state, inn).gain
         gain_o = (mpf(rho) * mpc(state.gain.real, state.gain.imag)
@@ -273,7 +275,7 @@ def test_criterion2_fading_statistics():
     steps = 100_000
     fails, summary = [], []
     for rho in (0.9, 0.5, 0.2, -0.3):
-        state = initial_channel(rho, 0.0, rng)
+        state = ChannelState(complex_gaussian(rng), rho, 0.0)
         gains = np.empty(steps + 1, dtype=complex)
         gains[0] = state.gain
         for t in range(1, steps + 1):

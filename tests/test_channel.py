@@ -10,14 +10,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from vecafl.channel import (DegenerateGeometryError, LinkBudget, Position3,
-                            advance_position, bessel_j0, channel_correlation,
-                            complex_gaussian, cos_bearing_angle,
-                            distance_to_antenna, doppler_freq, evolve_channel,
-                            initial_channel, transmission_rate)
+from vecafl.channel import (ChannelState, DegenerateGeometryError, LinkBudget,
+                            Position3, advance_position, bessel_j0,
+                            channel_correlation, complex_gaussian,
+                            cos_bearing_angle, distance_to_antenna,
+                            doppler_freq, evolve_channel, transmission_rate)
 from vecafl.rng import substream
 
 RSU = Position3(0.0, 0.0, 10.0)
+
+
+def stationary_state(rho, rng):
+    """A fading state whose gain is drawn from the stationary law."""
+    return ChannelState(gain=complex_gaussian(rng), rho=rho, doppler_hz=0.0)
 
 
 # -- kinematics --------------------------------------------------------------
@@ -139,19 +144,19 @@ def test_correlation_rejects_bad_duration():
 
 
 def test_evolve_perfectly_correlated():
-    state = initial_channel(1.0, 0.0, substream(3, "chan"))
+    state = stationary_state(1.0, substream(3, "chan"))
     out = evolve_channel(state, complex(0.3, -0.4))
     assert out.gain == state.gain
 
 
 def test_evolve_memoryless():
-    state = initial_channel(0.0, 0.0, substream(3, "chan"))
+    state = stationary_state(0.0, substream(3, "chan"))
     out = evolve_channel(state, complex(0.3, -0.4))
     assert out.gain == complex(0.3, -0.4)
 
 
 def test_evolve_rejects_rho_above_one():
-    state = initial_channel(0.0, 0.0, substream(3, "chan"))
+    state = stationary_state(0.0, substream(3, "chan"))
     state.rho = 1.5
     with pytest.raises(ValueError):
         evolve_channel(state, complex(0.0, 0.0))
@@ -163,7 +168,7 @@ def test_ar_trace_lag1_and_variance():
     rho = 0.8
     n = 100_000
     gains = np.empty(n, dtype=complex)
-    state = initial_channel(rho, 0.0, rng)
+    state = stationary_state(rho, rng)
     for i in range(n):
         state = evolve_channel(state, complex_gaussian(rng))
         gains[i] = state.gain

@@ -22,7 +22,7 @@ from vecafl.engine import (FilterSoundnessError, GlobalModel,
                            run_afl_slot, run_phase, staleness_weight,
                            threshold_accept, upload_delay, weighted_upload)
 from vecafl.model import (LabeledBatch, flatten_params, init_params,
-                          local_train, params_copy)
+                          local_train, params_copy, unflatten_params)
 from vecafl.rng import substream
 from vecafl.world import World, build_dataset
 
@@ -370,6 +370,60 @@ def test_accepted_only_loss_average_flag():
     want_all = np.mean([res_all.reported[v] for v in sorted(res_all.reported)])
     assert res_all.avg_loss == pytest.approx(want_all, abs=1e-12)
     assert res_all.avg_loss > res.avg_loss   # the tampered loss drags it up
+
+
+def test_filter_rejection_records_loss_limit_reason():
+    _, res, _ = fitted_attack_slot(58)
+    assert res.reject_reasons == {1: engine.LOSS_LIMIT}
+
+
+# -- non-finite uploads ----------------------------------------------------------
+
+
+def poison_vehicle(monkeypatch, vid, corrupt):
+    """Make the cohort kernel hand vehicle ``vid`` a non-finite result."""
+    real = engine.train_cohort
+
+    def poisoned(starts, shards, rngs, *args):
+        out = real(starts, shards, rngs, *args)
+        params, loss = out[vid]
+        flat = flatten_params(params)
+        if corrupt == "loss":
+            loss = math.nan
+        else:
+            flat[3] = math.nan if corrupt == "nan" else -math.inf
+        out[vid] = (unflatten_params(flat, params.architecture), loss)
+        return out
+
+    monkeypatch.setattr(engine, "train_cohort", poisoned)
+
+
+@pytest.mark.parametrize("corrupt", ["nan", "inf", "loss"])
+@pytest.mark.parametrize("mode", ["sync", "afl", "afl_defended"])
+def test_nonfinite_upload_is_never_folded(monkeypatch, mode, corrupt):
+    cfg = tiny_cfg()
+    world = World(cfg, build_dataset(cfg, 62), 62, "test", 1)
+    start = init_params(cfg.classifier_arch, substream(62, "g"))
+    gm = GlobalModel(params_copy(start))
+    poison_vehicle(monkeypatch, 1, corrupt)
+    if mode == "sync":
+        res = engine.sync_round(world, gm, cfg)
+    else:
+        trusted = GlobalModel(params_copy(start))
+        res = run_afl_slot(world, [0, 1, 2], gm, trusted, cfg,
+                           defense_on=mode == "afl_defended")
+    assert sorted(res.reported) == [0, 1, 2]
+    assert res.rejected_ids == [1]
+    assert res.reject_reasons == {1: engine.NONFINITE}
+    assert 1 not in res.accepted_ids
+    assert gm.update_count == len(res.accepted_ids) > 0
+    assert np.isfinite(flatten_params(gm.params)).all()
+    assert res.filter_calls == (2 if mode == "afl_defended" else 0)
+    finite = [v for v in res.reported if v != 1]
+    assert res.avg_loss == pytest.approx(
+        np.mean([res.reported[v] for v in finite]), abs=1e-12)
+    assert res.mean_delay == pytest.approx(
+        np.mean([sum(res.delays[v]) for v in finite]), abs=1e-12)
 
 
 # -- sync baseline ------------------------------------------------------------------

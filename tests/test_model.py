@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (balanced_batch, make_params, params_allclose,
                       params_equal, tiny_122_net)
-from vecafl.model import (LabeledBatch, cross_entropy, evaluate,
-                          flatten_params, forward, gradient, init_params,
-                          load_params, local_train, model_size_bits,
+from vecafl.model import (LOSS_ROWS, LabeledBatch, ModelParams,
+                          _step_plan, cross_entropy, evaluate,
+                          flatten_params, forward, forward_stack, gradient,
+                          init_params, load_params, local_train,
                           params_axpy, params_combine, params_copy,
                           params_from_bytes, params_mean, params_scale,
                           params_to_bytes, save_params, sgd_step,
@@ -302,6 +305,77 @@ def test_cohort_rejects_mismatched_learners():
         train_cohort([start], [shard, shard], [substream(1)], 1, 0.1, 8)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(sizes=st.lists(st.integers(1, 90), min_size=1, max_size=6),
+       batch_size=st.integers(1, 17), rounds=st.integers(0, 2),
+       hidden=st.lists(st.integers(2, 12), min_size=1, max_size=2),
+       dim=st.integers(1, 9), distinct_starts=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_cohort_matches_solo_on_drawn_cohorts(sizes, batch_size, rounds,
+                                              hidden, dim, distinct_starts,
+                                              seed):
+    check_cohort((dim, *hidden, 10), sizes, batch_size, rounds=rounds,
+                 distinct_starts=distinct_starts, seed=seed)
+
+
+@pytest.mark.parametrize("rounds", [0, 2])
+def test_cohort_results_share_no_memory(rounds):
+    starts = [init_params((6, 4, 10), substream(20, "alias", i % 2))
+              for i in range(3)]
+    shards = [balanced_batch(n, 6, seed=n) for n in (12, 30, 12)]
+    rngs = [substream(21, "alias", i) for i in range(3)]
+    out = train_cohort(starts, shards, rngs, rounds, 0.1, 8)
+
+    def arrays(params):
+        return params.layer_weights + params.layer_biases
+
+    held = [a for start in starts for a in arrays(start)]
+    for i, (params, _) in enumerate(out):
+        others = held + [a for j, (p, _) in enumerate(out) if j != i
+                         for a in arrays(p)]
+        for a in arrays(params):
+            assert not any(np.shares_memory(a, b) for b in others)
+
+
+@pytest.mark.parametrize("arch", [(64, 32, 10), (8, 6, 5, 10)])
+def test_loss_blocks_reproduce_whole_shard_logits(arch):
+    # train_cohort scores the final model in these row blocks; each
+    # block's logits must equal the same rows of the whole-shard forward
+    params = init_params(arch, substream(22, "blocks"))
+    one = ModelParams([w[None] for w in params.layer_weights],
+                      [b[None] for b in params.layer_biases], arch)
+    for n in (1, 2, 3, 9, LOSS_ROWS - 1, LOSS_ROWS + 1, 2 * LOSS_ROWS + 1,
+              250, 1000):
+        x = random_shard(n, arch[0], n).inputs
+        whole, _ = forward_stack(params, x)
+        bounds = [(lo, hi) for _, _, lo, hi in
+                  _step_plan([n], LOSS_ROWS, join_lone_row=True)]
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert [hi for _, hi in bounds[:-1]] == [lo for lo, _ in bounds[1:]]
+        for lo, hi in bounds:
+            # on the kernel's row panels, and never a lone row but n == 1
+            assert lo % LOSS_ROWS == 0 and (hi - lo > 1 or n == 1)
+            got, _ = forward_stack(one, x[None, lo:hi])
+            assert np.array_equal(got[0], whole[lo:hi])
+
+
+def test_cohort_final_loss_when_the_last_block_would_be_one_row():
+    # a one-row block goes to a matrix-vector kernel whose sums differ
+    # from the whole-shard product's; the last row dominates the loss here,
+    # so a differing logit shows in the loss for many of the draws
+    for seed in range(40):
+        params = params_scale(init_params((64, 32, 10),
+                                          substream(seed, "lone")), 3.0)
+        x = substream(seed, "lone-x").uniform(0.0, 1.0, (LOSS_ROWS + 1, 64))
+        probs = forward(params, x)
+        labels = probs.argmax(axis=1)
+        labels[-1] = probs[-1].argmin()
+        shard = LabeledBatch(x, labels)
+        (_, loss), = train_cohort([params], [shard], [substream(seed)], 0,
+                                  0.1, 8)
+        assert loss == cross_entropy(params, shard)
+
+
 def test_gradient_matches_plain_two_dimensional_backprop():
     # the rank-generic kernel against the textbook 2-d form, bit for bit
     params = init_params((8, 6, 5, 10), substream(8, "grad"))
@@ -345,17 +419,6 @@ def test_evaluate_accuracy_error_sum_to_one():
     batch = balanced_batch(33, 5, seed=20)
     acc, err = evaluate(p, batch)
     assert acc + err == pytest.approx(1.0, abs=1e-15)
-
-
-# -- payload size -------------------------------------------------------------
-
-
-def test_model_size_bits_passthrough():
-    p = init_params((3, 2), substream(21, "sz"))
-    assert model_size_bits(p) == 5000
-    assert model_size_bits(p, 10000) == 10000
-    with pytest.raises(ValueError):
-        model_size_bits(p, 0)
 
 
 # -- parameter algebra --------------------------------------------------------
