@@ -36,14 +36,6 @@ class SystemState:
 
 
 @dataclass
-class Transition:
-    state: SystemState
-    action: np.ndarray
-    reward: float
-    next_state: SystemState
-
-
-@dataclass
 class AgentNets:
     actor: ModelParams
     critic: ModelParams
@@ -52,30 +44,43 @@ class AgentNets:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring with uniform no-replacement minibatch sampling."""
+    """Fixed-capacity ring with uniform no-replacement minibatch sampling.
 
-    def __init__(self, capacity: int):
+    A transition is (state vector, action, reward, next-state vector), kept
+    in preallocated arrays, so a minibatch is one fancy index per array.
+    """
+
+    def __init__(self, capacity: int, state_dim: int, action_dim: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items = []
-        self._pos = 0
+        self.states = np.empty((capacity, state_dim))
+        self.actions = np.empty((capacity, action_dim))
+        self.rewards = np.empty(capacity)
+        self.next_states = np.empty((capacity, state_dim))
+        self._pushes = 0
 
-    def push(self, transition: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._pos] = transition
-            self._pos = (self._pos + 1) % self.capacity
+    def push(self, svec: np.ndarray, action: np.ndarray, reward: float,
+             next_svec: np.ndarray) -> None:
+        """Store a transition; once full, overwrite the oldest."""
+        i = self._pushes % self.capacity
+        self.states[i] = svec
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_svec
+        self._pushes += 1
 
-    def sample(self, rng: np.random.Generator, count: int) -> list:
-        if count > len(self._items):
+    def sample(self, rng: np.random.Generator, count: int):
+        """(states, actions, rewards, next states) of ``count`` distinct
+        stored transitions."""
+        if count > len(self):
             raise ValueError("not enough stored transitions")
-        idx = rng.choice(len(self._items), size=count, replace=False)
-        return [self._items[i] for i in idx]
+        idx = rng.choice(len(self), size=count, replace=False)
+        return (self.states[idx], self.actions[idx], self.rewards[idx],
+                self.next_states[idx])
 
     def __len__(self) -> int:
-        return len(self._items)
+        return min(self._pushes, self.capacity)
 
 
 class OUNoise:
@@ -256,7 +261,7 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
     """
     k = cfg.vehicle_count
     nets = init_agent(cfg, seed)
-    replay = ReplayBuffer(cfg.replay_capacity)
+    replay = ReplayBuffer(cfg.replay_capacity, 4 * k, k)
     noise = OUNoise(k, cfg.ou_decay, math.sqrt(cfg.ou_variance))
     noise_rng = substream(seed, "agent", "noise")
     sample_rng = substream(seed, "agent", "replay")
@@ -269,10 +274,8 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
             cfg.classifier_arch, substream(seed, "global-init", "train",
                                            episode)))
         noise.reset()
-        prev_action = np.ones(k)
-        state = build_state(world, prev_action)
+        svec = state_vector(build_state(world, np.ones(k)), cfg)
         for slot in range(1, cfg.slots_per_episode + 1):
-            svec = state_vector(state, cfg)
             weights = np.clip(actor_forward(nets.actor, svec)
                               + noise.sample(noise_rng),
                               cfg.action_floor, 1.0)
@@ -283,16 +286,12 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
                                ct_weight_on=ct_weight_on)
             reward = slot_reward(weights, mask, res, cfg)
             world.advance()
-            next_state = build_state(world, weights)
-            replay.push(Transition(state, weights, reward, next_state))
+            next_svec = state_vector(build_state(world, weights), cfg)
+            replay.push(svec, weights, reward, next_svec)
 
             if len(replay) > cfg.replay_batch:
-                batch = replay.sample(sample_rng, cfg.replay_batch)
-                svecs = np.stack([state_vector(t.state, cfg) for t in batch])
-                avecs = np.stack([t.action for t in batch])
-                rews = np.array([t.reward for t in batch])
-                nvecs = np.stack([state_vector(t.next_state, cfg)
-                                  for t in batch])
+                svecs, avecs, rews, nvecs = replay.sample(sample_rng,
+                                                          cfg.replay_batch)
                 targets = critic_targets(nets, rews, nvecs, cfg.discount)
                 nets.critic, _ = critic_update(nets, svecs, avecs, targets,
                                                cfg.critic_lr)
@@ -307,7 +306,7 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
                                        reward, len(res.accepted_ids),
                                        res.mean_delay, 0.0))
             episode_rewards[episode - 1] += reward
-            state = next_state
+            svec = next_svec
         digests.append(world.digest())
 
     rng_digest = hashlib.sha256(

@@ -244,13 +244,16 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     grads = np.empty_like(stack)
     layers = _layer_views(stack, arch)
     grad_layers = _layer_views(grads, arch)
+    # each shard's labels as one-hot rows, gathered with the inputs, so a
+    # step's softmax-minus-target is one subtraction
+    hots = [np.eye(arch[-1])[batch.labels] for batch in batches]
     inputs = np.empty((g, sizes[0], arch[0]))
-    labels = np.empty((g, sizes[0]), dtype=np.intp)
+    targets = np.empty((g, sizes[0], arch[-1]))
     # scratch rows for the layer outputs and the backpropagated errors; a
     # step views the head of each as a contiguous (learners, rows, width)
     outs = [np.empty((g * rows, n)) for n in arch[1:]]
     deltas = [np.empty((g * rows, n)) for n in arch[1:-1]]
-    index = np.arange(max(g, rows))
+    column = np.empty(g * rows)  # a row max, then a row sum, of the logits
     last = len(layers) - 1
 
     def scratch(buf, first, stop, lo, hi):
@@ -268,21 +271,24 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
             if k < last:
                 np.maximum(z, 0.0, out=z)
             acts.append(z)
-        z -= z.max(axis=-1, keepdims=True)
-        np.exp(z, out=z)
-        z /= z.sum(axis=-1, keepdims=True)
+        flat = outs[last][:(stop - first) * (hi - lo)]  # z as 2-D rows
+        col = column[:len(flat)]
+        np.maximum.reduce(flat, axis=1, out=col)
+        flat -= col[:, None]
+        np.exp(flat, out=flat)
+        np.add.reduce(flat, axis=1, out=col)
+        flat /= col[:, None]
         return acts
 
     def step(first, stop, lo, hi):
         acts = forward(first, stop, lo, hi)
         delta = acts.pop()
-        delta[index[:stop - first, None], index[:hi - lo],
-              labels[first:stop, lo:hi]] -= 1.0
+        delta -= targets[first:stop, lo:hi]
         delta /= hi - lo
         for k in range(last, -1, -1):
             gw, gb = grad_layers[k]
             np.matmul(acts[k].swapaxes(-1, -2), delta, out=gw[first:stop])
-            np.sum(delta, axis=-2, out=gb[first:stop])
+            np.add.reduce(delta, axis=1, out=gb[first:stop])
             if k:  # the input rows need no gradient
                 delta = np.matmul(delta, layers[k][0][first:stop]
                                   .swapaxes(-1, -2),
@@ -300,12 +306,13 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
             # a permutation is in range, so "clip" only skips a buffer
             np.take(batch.inputs, perm, axis=0, out=inputs[row, :len(batch)],
                     mode="clip")
-            np.take(batch.labels, perm, out=labels[row, :len(batch)],
+            np.take(hots[row], perm, axis=0, out=targets[row, :len(batch)],
                     mode="clip")
         for first, stop, lo, hi in plan:
             step(first, stop, lo, hi)
 
     picked = np.empty((g, sizes[0]))
+    labels = np.empty((g, sizes[0]), dtype=np.intp)
     for row, batch in enumerate(batches):
         inputs[row, :len(batch)] = batch.inputs
         labels[row, :len(batch)] = batch.labels

@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .channel import (ChannelState, LinkBudget, Position3, advance_position,
                       channel_correlation, complex_gaussian,
@@ -42,6 +42,40 @@ def build_dataset(cfg: SimConfig, seed: int) -> LabeledBatch:
         return load_csv(cfg.dataset_path)
     return synthetic_blobs(cfg.dataset_size, cfg.feature_dim,
                            substream(seed, "data"), cfg.blob_spread)
+
+
+def _truncnorm_draws(a: float, b: float, loc: float, scale: float,
+                     size: int, rng: np.random.Generator) -> np.ndarray:
+    """Truncated normal draws: N(loc, scale^2) cut to loc + [a, b] * scale.
+
+    Runs the float operations of ``scipy.stats.truncnorm.rvs(a, b,
+    loc=loc, scale=scale, size=size, random_state=rng)`` (scipy 1.17), so
+    the draws and the generator state after them equal scipy's, on
+    ``scipy.special`` alone: importing ``scipy.stats`` costs about a second
+    of start-up.  Each uniform goes through the quantile function in log
+    space, worked in the left tail and mirrored when a >= 0.
+    """
+    if not (a < b and scale > 0):
+        raise ValueError("truncated normal needs a < b and scale > 0")
+    q = rng.uniform(size=size)
+    if a < 0:
+        log_tail, log_q = special.log_ndtr(a), np.log(q)
+    else:  # minus the draw from [-b, -a] at 1 - q
+        log_tail, log_q = special.log_ndtr(-b), np.log1p(-q)
+    log_cdf = special.logsumexp(   # log(tail + q * mass)
+        np.broadcast_arrays(log_tail, log_q + _log_gauss_mass(a, b)), axis=0)
+    vals = special.ndtri_exp(log_cdf)
+    return (vals if a < 0 else -vals) * scale + loc
+
+
+def _log_gauss_mass(a: float, b: float) -> float:
+    """Log of the standard normal mass in [a, b], from the left tail."""
+    if a > 0:
+        a, b = -b, -a
+    if b <= 0:  # log(Phi(b) - Phi(a)) as log(Phi(b) + Phi(a) e^(i pi))
+        return np.real(special.logsumexp(
+            [special.log_ndtr(b), special.log_ndtr(a) + np.pi * 1j], axis=0))
+    return special.log1p(-special.ndtr(a) - special.ndtr(-b))
 
 
 class World:
@@ -101,10 +135,9 @@ class World:
         cfg = self.cfg
         a = (cfg.compute_min_hz - cfg.compute_mean_hz) / cfg.compute_std_hz
         b = (cfg.compute_max_hz - cfg.compute_mean_hz) / cfg.compute_std_hz
-        draws = stats.truncnorm.rvs(a, b, loc=cfg.compute_mean_hz,
-                                    scale=cfg.compute_std_hz,
-                                    size=cfg.vehicle_count,
-                                    random_state=self._compute_rng)
+        draws = _truncnorm_draws(a, b, cfg.compute_mean_hz,
+                                 cfg.compute_std_hz, cfg.vehicle_count,
+                                 self._compute_rng)
         if cfg.bad_vehicle >= 0:
             # a scaled truncated normal is again truncated normal, so the
             # weak vehicle's CPU keeps the divided statistics exactly

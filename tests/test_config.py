@@ -1,13 +1,18 @@
 """Configuration parsing, validation and hashing unit tests."""
 
 import math
+import os
+import tempfile
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecafl.config import (ConfigError, SimConfig, canonical_text,
                            config_hash, load_config, save_config,
                            validate_config)
+from vecafl.data import ATTACK_KINDS, NUM_CLASSES
 
 
 def test_defaults_validate():
@@ -132,3 +137,56 @@ def test_validation_accepts_edge_values():
     validate_config(replace(SimConfig(), soft_tau=0.1))
     validate_config(replace(SimConfig(), bad_vehicle=-1))
     validate_config(replace(SimConfig(), action_floor=0.0))
+
+
+# A path survives the file format only without '#' (a comment), line
+# breaks, and whitespace at either end (stripped on load).
+PATHS = st.text(st.characters(blacklist_characters="#\n\r",
+                              blacklist_categories=("Cs",))).map(str.strip)
+
+
+def changes_for(name: str, cfg: SimConfig, data) -> dict:
+    """Draw a new value for key ``name``; the input width moves with the
+    classifier's first layer, which must equal it."""
+    ftype = next(f.type for f in fields(SimConfig) if f.name == name)
+    if name in ("feature_dim", "classifier_arch"):
+        dim = data.draw(st.integers(1, 80)) if name == "feature_dim" \
+            else cfg.feature_dim
+        hidden = data.draw(st.lists(st.integers(1, 64), max_size=3))
+        return {"feature_dim": dim,
+                "classifier_arch": (dim, *hidden, NUM_CLASSES)}
+    if name == "attack":
+        return {name: data.draw(st.sampled_from(ATTACK_KINDS))}
+    if name == "dataset_path":
+        return {name: data.draw(PATHS)}
+    if name == "attacked_vehicles":
+        return {name: tuple(data.draw(st.lists(st.integers(-1, 6),
+                                               max_size=4, unique=True)))}
+    if ftype is bool:
+        return {name: data.draw(st.booleans())}
+    if ftype is int:
+        return {name: data.draw(st.one_of(st.integers(-1, 40),
+                                          st.integers(-1, 10 ** 9)))}
+    return {name: data.draw(st.one_of(
+        st.floats(0.0, 1.0),
+        st.floats(allow_nan=False, allow_infinity=False)))}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_save_load_round_trips_any_valid_config(data):
+    # propose a new value for every key, in a drawn order; keep the valid
+    cfg = SimConfig()
+    names = [f.name for f in fields(SimConfig)]
+    for name in data.draw(st.permutations(names)):
+        candidate = replace(cfg, **changes_for(name, cfg, data))
+        try:
+            cfg = validate_config(candidate)
+        except ConfigError:
+            continue
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.txt")
+        save_config(cfg, path)
+        loaded = load_config(path)
+    assert loaded == cfg
+    assert config_hash(loaded) == config_hash(cfg)

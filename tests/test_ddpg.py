@@ -10,7 +10,7 @@ from conftest import make_params, params_allclose, params_equal, tiny_122_net
 from vecafl import ddpg
 from vecafl.config import SimConfig, validate_config
 from vecafl.ddpg import (AgentNets, OUNoise, ReplayBuffer, SystemState,
-                         Transition, actor_forward, actor_update,
+                         actor_forward, actor_update,
                          binarize_action, build_state, compute_reward,
                          critic_forward, critic_targets, critic_update,
                          init_agent, soft_update, state_vector)
@@ -33,47 +33,70 @@ def agent_cfg(**overrides):
 # -- replay buffer -----------------------------------------------------------
 
 
-def make_transition(tag: float) -> Transition:
-    s = SystemState(np.array([tag]), np.array([tag]), np.array([tag]),
-                    np.array([tag]))
-    return Transition(s, np.array([tag]), tag, s)
+def push_tagged(buf: ReplayBuffer, tag: float) -> None:
+    """A transition whose every entry is ``tag``, next state ``-tag``."""
+    buf.push(np.full(2, tag), np.full(1, tag), tag, np.full(2, -tag))
 
 
 def test_replay_ring_overwrites_oldest():
-    buf = ReplayBuffer(3)
-    items = [make_transition(float(i)) for i in range(5)]
-    for t in items:
-        buf.push(t)
+    buf = ReplayBuffer(3, 2, 1)
+    for i in range(5):
+        push_tagged(buf, float(i))
     assert len(buf) == 3
-    stored = {t.reward for t in buf.sample(substream(1, "rb"), 3)}
-    assert stored == {2.0, 3.0, 4.0}
+    rewards = buf.sample(substream(1, "rb"), 3)[2]
+    assert set(rewards) == {2.0, 3.0, 4.0}
+    # slot i % capacity holds push i: 3 overwrote 0, 4 overwrote 1
+    assert list(buf.rewards) == [3.0, 4.0, 2.0]
 
 
 def test_replay_sample_without_replacement():
-    buf = ReplayBuffer(8)
+    buf = ReplayBuffer(8, 2, 1)
     for i in range(5):
-        buf.push(make_transition(float(i)))
-    got = buf.sample(substream(2, "rb"), 5)
-    assert sorted(t.reward for t in got) == [0.0, 1.0, 2.0, 3.0, 4.0]
+        push_tagged(buf, float(i))
+    rewards = buf.sample(substream(2, "rb"), 5)[2]
+    assert sorted(rewards) == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+def test_replay_sample_keeps_transitions_whole():
+    buf = ReplayBuffer(4, 2, 1)
+    for i in range(6):
+        push_tagged(buf, float(i))
+    states, actions, rewards, next_states = buf.sample(substream(9, "rb"), 4)
+    assert states.shape == next_states.shape == (4, 2)
+    assert actions.shape == (4, 1) and rewards.shape == (4,)
+    assert np.array_equal(states, np.repeat(rewards[:, None], 2, axis=1))
+    assert np.array_equal(actions[:, 0], rewards)
+    assert np.array_equal(next_states, -states)
+
+
+def test_replay_sample_draws_the_list_ring_indices():
+    # the sampled rows are rng.choice(len, count, replace=False) of the
+    # ring, so the replay stream is that of the earlier list-backed buffer
+    buf = ReplayBuffer(5, 2, 1)
+    for i in range(7):
+        push_tagged(buf, float(i))
+    rewards = buf.sample(substream(10, "rb"), 3)[2]
+    idx = substream(10, "rb").choice(5, size=3, replace=False)
+    assert np.array_equal(rewards, np.array([5.0, 6.0, 2.0, 3.0, 4.0])[idx])
 
 
 def test_replay_rejects_oversample_and_bad_capacity():
-    buf = ReplayBuffer(4)
-    buf.push(make_transition(1.0))
+    buf = ReplayBuffer(4, 2, 1)
+    push_tagged(buf, 1.0)
     with pytest.raises(ValueError):
         buf.sample(substream(3, "rb"), 2)
     with pytest.raises(ValueError):
-        ReplayBuffer(0)
+        ReplayBuffer(0, 2, 1)
 
 
 def test_replay_sampling_is_roughly_uniform():
-    buf = ReplayBuffer(4)
+    buf = ReplayBuffer(4, 2, 1)
     for i in range(4):
-        buf.push(make_transition(float(i)))
+        push_tagged(buf, float(i))
     rng = substream(4, "rb")
     counts = np.zeros(4)
     for _ in range(4000):
-        counts[int(buf.sample(rng, 1)[0].reward)] += 1
+        counts[int(buf.sample(rng, 1)[2][0])] += 1
     assert np.all(counts > 850) and np.all(counts < 1150)
 
 

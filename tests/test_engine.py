@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vecafl
 from conftest import make_params, params_allclose
@@ -153,6 +155,31 @@ def test_global_update_convex_envelope_property():
         hi = np.maximum(flatten_params(old), flatten_params(new))
         got = flatten_params(gm.params)
         assert np.all(got >= lo - 1e-12) and np.all(got <= hi + 1e-12)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(arch=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+       mix=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       scales=st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6)),
+       same=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_global_update_stays_between_old_and_upload(arch, mix, scales, same,
+                                                    seed):
+    # elementwise between the old model and the upload, up to one rounding
+    # of the larger magnitude: mix * a + (1 - mix) * b is exact only over
+    # the reals, and with a == b it may round just past both
+    rng = substream(seed, "fold")
+    old = init_params(arch, rng)
+    flat_old = flatten_params(old) * scales[0]
+    flat_up = flat_old.copy() if same else \
+        flatten_params(init_params(arch, rng)) * scales[1]
+    gm = GlobalModel(unflatten_params(flat_old, arch), update_count=3)
+    global_update(gm, unflatten_params(flat_up, arch), mix)
+    got = flatten_params(gm.params)
+    slack = 2.0 * np.finfo(float).eps * np.maximum(abs(flat_old),
+                                                   abs(flat_up))
+    assert np.all(got >= np.minimum(flat_old, flat_up) - slack)
+    assert np.all(got <= np.maximum(flat_old, flat_up) + slack)
+    assert gm.update_count == 4
 
 
 def test_global_update_rejects_bad_mix_and_shape():
@@ -375,6 +402,38 @@ def test_accepted_only_loss_average_flag():
 def test_filter_rejection_records_loss_limit_reason():
     _, res, _ = fitted_attack_slot(58)
     assert res.reject_reasons == {1: engine.LOSS_LIMIT}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 16), limit=st.floats(0.5, 3.0),
+       fit_passes=st.integers(0, 30),
+       attack=st.sampled_from(["none", "class_flip", "data_flip"]),
+       attacked=st.sets(st.integers(0, 2), max_size=2),
+       selected=st.sets(st.integers(0, 2), min_size=1),
+       bad_vehicle=st.integers(-1, 2))
+def test_defended_slot_accepts_only_losses_within_limit(
+        seed, limit, fit_passes, attack, attacked, selected, bad_vehicle):
+    cfg = tiny_cfg(classifier_arch=(6, 16, 10), local_rounds=2,
+                   local_batch=5, local_lr=0.2, loss_ratio_limit=limit,
+                   bad_vehicle=bad_vehicle)
+    world = World(cfg, build_dataset(cfg, seed), seed, "test", 1)
+    if attack != "none" and attacked:
+        world.set_attacks(sorted(attacked), attack)
+    # a snapshot fitted for a few passes makes tampered losses stand out
+    start, _ = local_train(
+        init_params(cfg.classifier_arch, substream(seed, "g")),
+        world.eval_batch, fit_passes, 0.2, 5, substream(seed, "fit"))
+    gm = GlobalModel(params_copy(start))
+    trusted = GlobalModel(params_copy(start))
+    res = run_afl_slot(world, sorted(selected), gm, trusted, cfg,
+                       defense_on=True)
+    bound = limit * res.trusted_loss
+    for vid in res.accepted_ids:
+        assert res.reported[vid] <= bound
+    for vid, why in res.reject_reasons.items():
+        assert why == engine.NONFINITE or res.reported[vid] > bound
+    assert sorted(res.accepted_ids + res.rejected_ids) == sorted(res.reported)
+    assert gm.update_count == len(res.accepted_ids)
 
 
 # -- non-finite uploads ----------------------------------------------------------

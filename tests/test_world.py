@@ -1,12 +1,19 @@
 """Episode-state tests: shards, CPUs, mobility, fading, attack plumbing."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
+import vecafl
 from vecafl.config import SimConfig, validate_config
-from vecafl.world import World, build_dataset
+from vecafl.world import World, _truncnorm_draws, build_dataset
 
 
 def world_cfg(**overrides):
@@ -52,6 +59,69 @@ def test_compute_draws_respect_bounds():
         hi = cfg.compute_max_hz / cfg.bad_compute_divisor
         assert lo <= computes[2] <= hi
         world.advance()
+
+
+def assert_draws_match_scipy(a, b, loc, scale, size, seed):
+    """The helper's draws and generator state equal truncnorm.rvs's."""
+    want_rng = np.random.default_rng(seed)
+    got_rng = np.random.default_rng(seed)
+    want = stats.truncnorm.rvs(a, b, loc=loc, scale=scale, size=size,
+                               random_state=want_rng)
+    got = _truncnorm_draws(a, b, loc, scale, size, got_rng)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@st.composite
+def compute_configs(draw):
+    """(min, mean, max, std) of a valid CPU draw, with mean == min and
+    mean == max, the a = 0 and b = 0 edges, forced often."""
+    lo = draw(st.floats(1e6, 5e9))
+    hi = lo + draw(st.floats(1e3, 5e9))
+    mean = draw(st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi)))
+    return lo, mean, hi, draw(st.floats(1e3, 5e9))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(cpu=compute_configs(), size=st.integers(1, 11),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_compute_draws_equal_scipy_truncnorm(cpu, size, seed):
+    lo, mean, hi, std = cpu
+    assert_draws_match_scipy((lo - mean) / std, (hi - mean) / std, mean, std,
+                             size, seed)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(ends=st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=2,
+                     unique=True).map(sorted),
+       loc=st.floats(-1e9, 1e9), scale=st.floats(1e-3, 1e9),
+       size=st.integers(1, 11), seed=st.integers(0, 2 ** 32 - 1))
+def test_truncnorm_draws_equal_scipy_on_any_interval(ends, loc, scale, size,
+                                                     seed):
+    # covers a > 0 too (the right-tail mass), which no valid config reaches
+    assert_draws_match_scipy(ends[0], ends[1], loc, scale, size, seed)
+
+
+@pytest.mark.parametrize("a, b, scale", [(1.0, 1.0, 1.0), (1.0, -1.0, 1.0),
+                                         (-1.0, 1.0, 0.0),
+                                         (-1.0, 1.0, -1.0),
+                                         (float("nan"), 1.0, 1.0)])
+def test_truncnorm_draws_reject_bad_arguments(a, b, scale):
+    with pytest.raises(ValueError):
+        _truncnorm_draws(a, b, 0.0, scale, 3, np.random.default_rng(0))
+
+
+def test_package_import_leaves_scipy_stats_out():
+    code = ("import sys\n"
+            "import vecafl.cli, vecafl.harness, vecafl.ddpg\n"
+            "print('scipy.stats' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(vecafl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_advance_moves_at_lane_speed():
