@@ -1,23 +1,27 @@
-"""Frozen reference outputs: per-slot results of three schemes.
+"""Frozen reference outputs: per-slot results of four cells.
 
 A rerun of a cell only proves a run agrees with itself; a change that
 shifts results deterministically passes it.  This test compares against
 values frozen in ``golden_outputs.json`` instead.  The config is the
 default one cut short for speed: it keeps the 250-sample degraded vehicle
 and the 600-sample trusted shard, so learners with short last minibatches
-train every slot.
+train every slot.  Three cells deploy; ``ddafl_train`` also trains the
+agent, on nets narrow enough that no agent product is split over BLAS
+threads, and freezes the sum and the sum of squares of each learned net.
 
 Regenerate (only when a change of results is intended and explained):
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import functools
 import json
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vecafl import ddpg
@@ -29,27 +33,50 @@ SEED = 5
 AGENT_SEED = 3          # initial actor deployed by the ddafl cell
 REL_TOL = 1e-9
 FIELDS = ("avg_loss", "accuracy", "accepted_count", "reward")
-CELLS = {
-    "sync_fl": {},
-    "plain_afl": {},
-    "ddafl": {"attack": "class_flip"},
+CELLS = {  # cell -> (scheme, config overrides)
+    "sync_fl": ("sync_fl", {}),
+    "plain_afl": ("plain_afl", {}),
+    "ddafl": ("ddafl", {"attack": "class_flip"}),
+    "ddafl_train": ("ddafl", {"train_episodes": 3, "test_episodes": 1,
+                              "replay_batch": 8, "hidden1": 16,
+                              "hidden2": 12}),
 }
+TRAINED = "ddafl_train"       # the one cell that learns its policy
+NETS = ("actor", "critic", "target_actor", "target_critic")
 
 
 def golden_cfg(**overrides) -> SimConfig:
-    return validate_config(replace(SimConfig(), slots_per_episode=4,
-                                   test_episodes=2, **overrides))
+    overrides = {"slots_per_episode": 4, "test_episodes": 2, **overrides}
+    return validate_config(replace(SimConfig(), **overrides))
 
 
-def cell_values(scheme: str) -> list:
-    """[avg_loss, accuracy, accepted_count, reward] of every slot."""
-    cfg = golden_cfg(**CELLS[scheme])
+@functools.lru_cache(maxsize=None)
+def run_cell(cell: str):
+    scheme, overrides = CELLS[cell]
+    cfg = golden_cfg(**overrides)
     pretrained = None
-    if scheme == "ddafl":
+    if cell == "ddafl":
         pretrained = ddpg.TrainResult(ddpg.init_agent(cfg, AGENT_SEED),
                                       [], [], [], "")
-    result = run_experiment(scheme, cfg, SEED, pretrained=pretrained)
-    return [[getattr(r, f) for f in FIELDS] for r in result.rows if r.slot > 0]
+    return run_experiment(scheme, cfg, SEED, pretrained=pretrained)
+
+
+def cell_values(cell: str) -> list:
+    """[avg_loss, accuracy, accepted_count, reward] of every slot, the
+    training slots first."""
+    return [[getattr(r, f) for f in FIELDS]
+            for r in run_cell(cell).rows if r.slot > 0]
+
+
+def net_values() -> dict:
+    """[sum, sum of squares] of the parameters of each learned net."""
+    out = {}
+    for name in NETS:
+        params = getattr(run_cell(TRAINED).nets, name)
+        flat = np.concatenate([a.ravel() for a in params.layer_weights
+                               + params.layer_biases])
+        out[name] = [float(np.sum(flat)), float(np.sum(flat * flat))]
+    return out
 
 
 def _same(got, want) -> bool:
@@ -58,15 +85,29 @@ def _same(got, want) -> bool:
     return math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0)
 
 
-@pytest.mark.parametrize("scheme", sorted(CELLS))
-def test_per_slot_outputs_match_frozen_reference(scheme):
-    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[scheme]
-    got = cell_values(scheme)
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_per_slot_outputs_match_frozen_reference(cell):
+    want = _golden()[cell]
+    got = cell_values(cell)
     assert len(got) == len(want)
     for slot, (g, w) in enumerate(zip(got, want), 1):
         assert g[2] == w[2], f"slot {slot}: accepted_count {g[2]} != {w[2]}"
         for name, gv, wv in zip(FIELDS, g, w):
             assert _same(gv, wv), f"slot {slot}: {name} {gv!r} != {wv!r}"
+
+
+def test_trained_nets_match_frozen_reference():
+    want = _golden()[f"{TRAINED}_nets"]
+    got = net_values()
+    assert sorted(got) == sorted(want)
+    for name in NETS:
+        for what, gv, wv in zip(("sum", "sum of squares"), got[name],
+                                want[name]):
+            assert _same(gv, wv), f"{name} {what}: {gv!r} != {wv!r}"
 
 
 def test_golden_cells_run_the_short_minibatch_learners():
@@ -76,10 +117,22 @@ def test_golden_cells_run_the_short_minibatch_learners():
     assert cfg.bad_vehicle >= 0
 
 
+def test_training_cell_updates_the_agent():
+    cfg = golden_cfg(**CELLS[TRAINED][1])
+    # updates start once the replay holds more than one minibatch
+    assert cfg.train_episodes * cfg.slots_per_episode > cfg.replay_batch
+    start = ddpg.init_agent(cfg, SEED).actor
+    trained = run_cell(TRAINED).nets.actor
+    assert not all(np.array_equal(a, b) for a, b in
+                   zip(start.layer_weights, trained.layer_weights))
+
+
 if __name__ == "__main__":
-    blocks = [f' "{scheme}": [\n  '
-              + ",\n  ".join(json.dumps(row) for row in cell_values(scheme))
-              + "\n ]" for scheme in sorted(CELLS)]
+    blocks = [f' "{cell}": [\n  '
+              + ",\n  ".join(json.dumps(row) for row in cell_values(cell))
+              + "\n ]" for cell in sorted(CELLS)]
+    blocks.append(f' "{TRAINED}_nets": '
+                  + json.dumps(net_values(), sort_keys=True))
     GOLDEN.write_text("{\n" + ",\n".join(blocks) + "\n}\n",
                       encoding="utf-8")
     sys.exit(0)
