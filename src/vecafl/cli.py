@@ -15,9 +15,10 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import ddpg, harness
 from .config import ConfigError, SimConfig, load_config, validate_config
-from .world import build_dataset
 
 ABLATIONS = ("ddafl_no_lt", "ddafl_no_ct", "ddafl_no_defense")
 
@@ -35,10 +36,6 @@ def _load(args) -> SimConfig:
     if args.config:
         return load_config(args.config)
     return validate_config(SimConfig())
-
-
-def _out_dir(args, fallback: str) -> str:
-    return args.out if args.out else fallback
 
 
 def _finish(result: harness.ExperimentResult) -> int:
@@ -59,7 +56,7 @@ def cmd_train(args) -> int:
     if not scheme.startswith("ddafl"):
         raise ConfigError("train runs a learned scheme; use baseline for "
                           f"{scheme}")
-    out = _out_dir(args, f"runs/{scheme}-s{args.seed}")
+    out = args.out or f"runs/{scheme}-s{args.seed}"
     return _finish(harness.run_experiment(scheme, cfg, args.seed, out))
 
 
@@ -67,29 +64,16 @@ def cmd_test(args) -> int:
     cfg = _load(args)
     nets, manifest = ddpg.load_checkpoint(args.checkpoint, cfg)
     scheme = args.scheme or "ddafl"
-    flags = harness._scheme_flags(scheme)
-    if not flags["learned"]:
+    if not scheme.startswith("ddafl"):
         raise ConfigError("test deploys a trained policy; pick a ddafl "
                           "scheme")
-    dataset = build_dataset(cfg, args.seed)
-    attacked = harness.resolve_attacked_ids(cfg, nets.actor, dataset,
-                                            args.seed)
-    phase = ddpg.test_policy(nets.actor, cfg, dataset, args.seed,
-                             defense_on=flags["defense"],
-                             lt_weight_on=flags["lt"],
-                             ct_weight_on=flags["ct"],
-                             attack_kind=cfg.attack, attacked_ids=attacked)
-    out = _out_dir(args, f"runs/test-{scheme}-s{args.seed}")
-    os.makedirs(out, exist_ok=True)
-    rows = harness._phase_rows(phase.records, f"{scheme}-s{args.seed}-test",
-                               scheme, manifest["config_hash"])
-    harness.emit_metrics(rows, os.path.join(out, "metrics.csv"))
-    last = phase.records[-1]
+    policy = ddpg.TrainResult(nets, np.zeros(0), [], [],
+                              manifest["rng_digest"])
+    out = args.out or f"runs/test-{scheme}-s{args.seed}"
+    result = harness.run_experiment(scheme, cfg, args.seed, out,
+                                    pretrained=policy)
     print(f"{scheme} deployment of {args.checkpoint}")
-    print(f"  final avg_loss={last.avg_loss:.4f} "
-          f"accuracy={last.accuracy:.4f} error={last.error_rate:.4f}")
-    print(f"  metrics: {os.path.join(out, 'metrics.csv')}")
-    return 0
+    return _finish(result)
 
 
 def cmd_baseline(args) -> int:
@@ -97,7 +81,7 @@ def cmd_baseline(args) -> int:
     if args.scheme not in harness.BASELINES:
         raise ConfigError(f"baseline scheme must be one of "
                           f"{harness.BASELINES}")
-    out = _out_dir(args, f"runs/{args.scheme}-s{args.seed}")
+    out = args.out or f"runs/{args.scheme}-s{args.seed}"
     return _finish(harness.run_experiment(args.scheme, cfg, args.seed, out))
 
 
@@ -105,7 +89,7 @@ def cmd_ablation(args) -> int:
     cfg = _load(args)
     if args.scheme not in ABLATIONS:
         raise ConfigError(f"ablation scheme must be one of {ABLATIONS}")
-    out = _out_dir(args, f"runs/{args.scheme}-s{args.seed}")
+    out = args.out or f"runs/{args.scheme}-s{args.seed}"
     return _finish(harness.run_experiment(args.scheme, cfg, args.seed, out))
 
 
@@ -117,7 +101,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad fractions list {args.fractions!r}") from exc
     if not fractions or any(not 0.0 <= f <= 1.0 for f in fractions):
         raise ConfigError("fractions must lie in [0, 1]")
-    out = _out_dir(args, f"runs/sweep-{args.attack}-s{args.seed}")
+    out = args.out or f"runs/sweep-{args.attack}-s{args.seed}"
     cells, _, _ = harness.attack_sweep(cfg, args.seed, fractions,
                                        args.attack, out)
     print(f"attack sweep ({args.attack}) seed={args.seed}")

@@ -217,6 +217,10 @@ def validate_config(cfg: SimConfig) -> SimConfig:
 
     _require(0.0 <= cfg.action_floor < 0.5, "action_floor",
              "must lie in [0, 0.5)")
+    path = cfg.dataset_path
+    _require(not any(c in path for c in "#\n\r") and path == path.strip(),
+             "dataset_path", "must not hold '#' or a line break, nor start "
+             "or end with whitespace, which a config file cannot carry")
     _require(cfg.attack in ATTACK_KINDS, "attack",
              f"must be one of {ATTACK_KINDS}")
     _require(cfg.bad_vehicle == -1

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LabeledBatch, ModelParams, params_axpy
+from .model import LabeledBatch, ModelParams, weights_then_biases
 
 NUM_CLASSES = 10
 ATTACK_KINDS = ("none", "class_flip", "data_flip")
@@ -126,8 +126,9 @@ def degrade_bad_node(params: ModelParams, noise_scale: float,
     """Additive Gaussian corruption of an upload from a failing vehicle."""
     if noise_scale < 0.0:
         raise ValueError("noise_scale must be nonnegative")
-    noise = ModelParams(
-        [rng.standard_normal(w.shape) for w in params.layer_weights],
-        [rng.standard_normal(b.shape) for b in params.layer_biases],
-        params.architecture)
-    return params_axpy(params, noise, noise_scale)
+    # one draw, spread over the weights first and the biases after them
+    noise = np.empty_like(params.vector)
+    noise[weights_then_biases(params.architecture)] = \
+        rng.standard_normal(noise.size)
+    return ModelParams(params.vector + noise_scale * noise,
+                       params.architecture)

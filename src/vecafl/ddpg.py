@@ -180,10 +180,15 @@ def slot_reward(weights, mask, slot_result, cfg: SimConfig) -> float:
 # learning updates
 
 
-def init_agent(cfg: SimConfig, seed: int) -> AgentNets:
+def _agent_architectures(cfg: SimConfig):
+    """(actor, critic) layer sizes under ``cfg``."""
     k = cfg.vehicle_count
-    actor_arch = (4 * k, cfg.hidden1, cfg.hidden2, k)
-    critic_arch = (5 * k, cfg.hidden1, cfg.hidden2, 1)
+    return ((4 * k, cfg.hidden1, cfg.hidden2, k),
+            (5 * k, cfg.hidden1, cfg.hidden2, 1))
+
+
+def init_agent(cfg: SimConfig, seed: int) -> AgentNets:
+    actor_arch, critic_arch = _agent_architectures(cfg)
     actor = init_params(actor_arch, substream(seed, "agent", "actor-init"))
     critic = init_params(critic_arch, substream(seed, "agent", "critic-init"))
     return AgentNets(actor, critic, params_copy(actor), params_copy(critic))
@@ -309,11 +314,9 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
             svec = next_svec
         digests.append(world.digest())
 
-    rng_digest = hashlib.sha256(
-        (json.dumps(noise_rng.bit_generator.state, sort_keys=True,
-                    default=str)
-         + json.dumps(sample_rng.bit_generator.state, sort_keys=True,
-                      default=str)).encode()).hexdigest()[:16]
+    states = "".join(json.dumps(r.bit_generator.state, sort_keys=True,
+                                default=str) for r in (noise_rng, sample_rng))
+    rng_digest = hashlib.sha256(states.encode()).hexdigest()[:16]
     return TrainResult(nets, episode_rewards, records, digests, rng_digest)
 
 
@@ -366,12 +369,29 @@ def save_checkpoint(path, nets: AgentNets, cfg: SimConfig,
 
 
 def load_checkpoint(path, cfg: SimConfig = None):
-    """Read nets and manifest; with a config, refuse a mismatched hash."""
-    with open(os.path.join(path, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """Read nets and manifest; with a config, refuse a mismatched hash or
+    net architecture.  Every ValueError names the file at fault."""
+    where = os.path.join(path, "manifest.json")
+    with open(where, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{where}: not JSON ({exc})") from exc
+    missing = [key for key in ("config_hash", "episodes_trained", "rng_digest")
+               if not isinstance(manifest, dict) or key not in manifest]
+    if missing:
+        raise ValueError(f"{where}: missing {', '.join(missing)}")
     if cfg is not None and manifest["config_hash"] != config_hash(cfg):
-        raise ValueError("checkpoint was trained under a different config "
-                         f"(hash {manifest['config_hash']})")
+        raise ValueError(f"{where}: checkpoint was trained under a "
+                         f"different config (hash {manifest['config_hash']})")
     loaded = {attr: load_params(os.path.join(path, fname))
               for attr, fname in _NET_FILES.items()}
+    if cfg is not None:
+        # _NET_FILES lists the actor and the critic, then their targets
+        for (attr, fname), want in zip(_NET_FILES.items(),
+                                       2 * _agent_architectures(cfg)):
+            got = loaded[attr].architecture
+            if got != want:
+                raise ValueError(f"{os.path.join(path, fname)}: architecture "
+                                 f"{got} does not match the config's {want}")
     return AgentNets(**loaded), manifest

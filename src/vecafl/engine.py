@@ -30,19 +30,6 @@ class FilterSoundnessError(RuntimeError):
 
 
 @dataclass
-class Upload:
-    vehicle_id: int
-    weighted_model: ModelParams
-    local_loss: float
-    t_local: float
-    t_upload: float
-
-    @property
-    def arrival(self) -> float:
-        return self.t_local + self.t_upload
-
-
-@dataclass
 class GlobalModel:
     params: ModelParams
     update_count: int = 0
@@ -72,9 +59,7 @@ LOSS_LIMIT = "loss_limit"   # announced loss above the filter's limit
 
 def finite_upload(params: ModelParams, loss: float) -> bool:
     """True when the announced loss and every parameter are finite."""
-    return math.isfinite(loss) and all(
-        np.isfinite(a).all()
-        for a in params.layer_weights + params.layer_biases)
+    return math.isfinite(loss) and bool(np.isfinite(params.vector).all())
 
 
 def _slot_means(reported: dict, delays: dict, pool, arrived):
@@ -153,11 +138,12 @@ def _local_updates(world: World, vids, snapshot: ModelParams,
     """Local SGD of the vehicles ``vids`` from ``snapshot`` in one cohort.
 
     A kept trusted model trains in the same cohort on the roadside shard,
-    from its own parameters, and is updated in place.  Returns one
-    (vid, params, announced loss, t_local, t_upload) per vehicle and the
-    trusted loss (None without a trusted model).  A degraded vehicle's
-    upload is corrupted on the way out, and the loss it announces is the
-    loss of what actually gets sent.
+    from its own parameters, and is updated in place.  Returns the uploads
+    that arrive, one (vid, params, announced loss, t_local, t_upload) each;
+    every vehicle's (t_local, t_upload); the ids whose link gives 0 b/s, so
+    that nothing arrives; and the trusted loss (None without a trusted
+    model).  A degraded vehicle's upload is corrupted on the way out, and
+    the loss it announces is the loss of what actually gets sent.
     """
     rates = world.rates()
     counts = world.data_counts()
@@ -173,18 +159,22 @@ def _local_updates(world: World, vids, snapshot: ModelParams,
     trusted_loss = None
     if trusted_model is not None:
         trusted_model.params, trusted_loss = trained.pop()
-    updates = []
+    updates, delays, skipped = [], {}, []
     for vid, batch, (params, loss) in zip(vids, shards, trained):
         veh = world.vehicles[vid]
         if veh.bad:
             params = degrade_bad_node(params, cfg.bad_noise_scale,
                                       world.degrade_rng(vid))
             loss = cross_entropy(params, batch)
-        updates.append((vid, params, loss,
-                        local_delay(int(counts[vid]), cfg.cycles_per_sample,
-                                    veh.compute_hz),
-                        upload_delay(cfg.model_bits, float(rates[vid]))))
-    return updates, trusted_loss
+        t_l = local_delay(int(counts[vid]), cfg.cycles_per_sample,
+                          veh.compute_hz)
+        t_u = upload_delay(cfg.model_bits, float(rates[vid]))
+        delays[vid] = (t_l, t_u)
+        if math.isfinite(t_u):
+            updates.append((vid, params, loss, t_l, t_u))
+        else:
+            skipped.append(vid)
+    return updates, delays, skipped, trusted_loss
 
 
 def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
@@ -206,52 +196,46 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
     if not world.rsu_batch_intact():
         raise TrustedShardError("trusted shard was tampered with")
 
-    uploads, reported, delays, skipped, stale = [], {}, {}, [], {}
-    updates, trusted_loss = _local_updates(
+    updates, delays, skipped, trusted_loss = _local_updates(
         world, sorted(int(v) for v in selected_ids), global_model.params,
         cfg, trusted_model)
+    reported = {vid: loss for vid, _, loss, _, _ in updates}
+    uploads, stale = [], {}  # uploads: (arrival time, vid, weighted, loss)
     for vid, params, loss, t_l, t_u in updates:
-        delays[vid] = (t_l, t_u)
-        if not math.isfinite(t_u):
-            skipped.append(vid)
-            continue
-        reported[vid] = loss
         w_lt = staleness_weight(cfg.stale_base_local, t_l) \
             if lt_weight_on else 1.0
         w_ct = staleness_weight(cfg.stale_base_upload, t_u) \
             if ct_weight_on else 1.0
         stale[vid] = (w_lt, w_ct)
-        uploads.append(Upload(vid, weighted_upload(params, w_lt, w_ct),
-                              loss, t_l, t_u))
+        uploads.append((t_l + t_u, vid, weighted_upload(params, w_lt, w_ct),
+                        loss))
 
-    accepted, rejected, audit, reasons = [], [], [], {}
+    accepted, audit, reasons = [], [], {}
     filter_calls = 0
-    for up in sorted(uploads, key=lambda u: (u.arrival, u.vehicle_id)):
-        if not finite_upload(up.weighted_model, up.local_loss):
-            rejected.append(up.vehicle_id)
-            reasons[up.vehicle_id] = NONFINITE
+    for _, vid, weighted, loss in sorted(uploads, key=lambda u: u[:2]):
+        if not finite_upload(weighted, loss):
+            reasons[vid] = NONFINITE
             continue
         if defense_on:
             filter_calls += 1
-            if not threshold_accept(up.local_loss, trusted_loss,
+            if not threshold_accept(loss, trusted_loss,
                                     cfg.loss_ratio_limit):
-                rejected.append(up.vehicle_id)
-                reasons[up.vehicle_id] = LOSS_LIMIT
+                reasons[vid] = LOSS_LIMIT
                 continue
             limit = cfg.loss_ratio_limit * trusted_loss
-            if not up.local_loss <= limit:
+            if not loss <= limit:
                 raise FilterSoundnessError(
-                    f"vehicle {up.vehicle_id} accepted with loss "
-                    f"{up.local_loss!r} over the limit {limit!r}")
-            audit.append((up.vehicle_id, up.local_loss, limit))
-        global_update(global_model, up.weighted_model, cfg.agg_mix)
-        accepted.append(up.vehicle_id)
+                    f"vehicle {vid} accepted with loss {loss!r} over the "
+                    f"limit {limit!r}")
+            audit.append((vid, loss, limit))
+        global_update(global_model, weighted, cfg.agg_mix)
+        accepted.append(vid)
 
     finite = [v for v in sorted(reported) if reasons.get(v) != NONFINITE]
     avg_loss, mean_delay = _slot_means(
         reported, delays,
         accepted if cfg.loss_avg_accepted_only else finite, finite)
-    return SlotResult(avg_loss, reported, delays, accepted, rejected,
+    return SlotResult(avg_loss, reported, delays, accepted, list(reasons),
                       skipped, trusted_loss, mean_delay, filter_calls, audit,
                       stale, reject_reasons=reasons)
 
@@ -264,19 +248,13 @@ def sync_round(world: World, global_model: GlobalModel,
     uploads with a non-finite loss or parameter; one global step per slot
     once the slowest upload is in.
     """
-    models, reported, delays, skipped, reasons = [], {}, {}, [], {}
-    updates, _ = _local_updates(world, [veh.vid for veh in world.vehicles],
-                                global_model.params, cfg)
-    for vid, params, loss, t_l, t_u in updates:
-        delays[vid] = (t_l, t_u)
-        if not math.isfinite(t_u):
-            skipped.append(vid)
-            continue
-        reported[vid] = loss
-        if not finite_upload(params, loss):
-            reasons[vid] = NONFINITE
-            continue
-        models.append(params)
+    updates, delays, skipped, _ = _local_updates(
+        world, [veh.vid for veh in world.vehicles], global_model.params, cfg)
+    reported = {vid: loss for vid, _, loss, _, _ in updates}
+    reasons = {vid: NONFINITE for vid, params, loss, _, _ in updates
+               if not finite_upload(params, loss)}
+    models = [params for vid, params, _, _, _ in updates
+              if vid not in reasons]
     if models:
         global_model.params = params_mean(models)
         global_model.update_count += len(models)

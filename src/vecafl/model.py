@@ -6,7 +6,6 @@ simulator is a stack of affine layers with relu on the hidden ones, and
 only the output head differs.
 """
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -26,30 +25,89 @@ class LabeledBatch:
         return self.inputs.shape[0]
 
 
+def _layer_views(flat: np.ndarray, architecture) -> list:
+    """(weights, biases) views per layer of a flat parameter vector.
+
+    The one statement of the layout: layer by layer, the (fan_in, fan_out)
+    weights row-major, then the fan_out biases.  On a (g, P) stack every
+    view carries the leading learner axis.
+    """
+    views, pos, lead = [], 0, flat.shape[:-1]
+    for fan_in, fan_out in zip(architecture[:-1], architecture[1:]):
+        w = flat[..., pos:pos + fan_in * fan_out]
+        pos += fan_in * fan_out
+        views.append((w.reshape(lead + (fan_in, fan_out)),
+                      flat[..., pos:pos + fan_out]))
+        pos += fan_out
+    return views
+
+
+def _param_count(arch: tuple) -> int:
+    """Length of a network's vector; raises on a bad architecture."""
+    if len(arch) < 2 or any(n <= 0 for n in arch):
+        raise ValueError("architecture needs at least two positive layer sizes")
+    return sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(arch[:-1], arch[1:]))
+
+
 @dataclass
 class ModelParams:
-    """Weights and biases of a fully connected network."""
+    """Weights and biases of a fully connected network in one vector.
 
-    layer_weights: list   # [(fan_in, fan_out) float64, ...]
-    layer_biases: list    # [(fan_out,) float64, ...]
+    ``vector`` is float64 in the ``_layer_views`` layout: (P,) for one
+    network, (g, P) for a cohort of g.  ``layer_weights`` and
+    ``layer_biases`` are views into it.
+    """
+
+    vector: np.ndarray
     architecture: tuple   # (in, hidden..., out)
+
+    def __post_init__(self):
+        arch = self.architecture = tuple(int(n) for n in self.architecture)
+        size = _param_count(arch)
+        self.vector = np.asarray(self.vector, dtype=np.float64)
+        if self.vector.ndim not in (1, 2) or self.vector.shape[-1] != size:
+            raise ValueError(f"expected {size} values for {arch}, "
+                             f"got shape {self.vector.shape}")
+
+    @property
+    def layers(self) -> list:
+        return _layer_views(self.vector, self.architecture)
+
+    @property
+    def layer_weights(self) -> list:
+        return [w for w, _ in self.layers]
+
+    @property
+    def layer_biases(self) -> list:
+        return [b for _, b in self.layers]
+
+
+def weights_then_biases(architecture) -> np.ndarray:
+    """Positions of every layer's weights, then of every layer's biases."""
+    layers = _layer_views(np.arange(_param_count(architecture)),
+                          architecture)
+    return np.concatenate([w.ravel() for w, _ in layers]
+                          + [b for _, b in layers])
+
+
+def _architecture(*params: ModelParams) -> tuple:
+    """The shared architecture of ``params``; raises when they differ."""
+    arch = params[0].architecture
+    if any(p.architecture != arch for p in params):
+        raise ValueError("parameter shapes disagree")
+    return arch
 
 
 def init_params(architecture, rng: np.random.Generator) -> ModelParams:
     """Uniform(-b, b) weights with b = sqrt(6/(fan_in+fan_out)), zero biases."""
     arch = tuple(int(n) for n in architecture)
-    if len(arch) < 2 or any(n <= 0 for n in arch):
-        raise ValueError("architecture needs at least two positive layer sizes")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(arch[:-1], arch[1:]):
+    params = ModelParams(np.zeros(_param_count(arch)), arch)
+    for w, _ in params.layers:
+        fan_in, fan_out = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return ModelParams(weights, biases, arch)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -66,16 +124,17 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
 def forward_stack(params: ModelParams, x: np.ndarray):
     """Return output-layer logits and per-layer activations (for backprop).
 
-    A cohort of networks runs at once when every weight carries a leading
-    learner axis, (g, fan_in, fan_out) with (g, fan_out) biases, and the
-    inputs are (g, n, dim): each learner's rows meet only its own layers.
+    A cohort of networks runs at once when the parameters are a (g, P)
+    stack and the inputs are (g, n, dim): each learner's rows meet only its
+    own layers.
     """
     acts = [_as_batch(x)]
     h = acts[0]
-    last = len(params.layer_weights) - 1
-    for i, (w, b) in enumerate(zip(params.layer_weights, params.layer_biases)):
+    layers = params.layers
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
         z = h @ w + b[..., None, :]
-        h = z if i == last else relu(z)
+        h = z if i == last else np.maximum(z, 0.0)
         acts.append(h)
     return h, acts
 
@@ -88,16 +147,15 @@ def backprop_from_logits(params: ModelParams, acts, dlogits: np.ndarray):
     use the relu mask of the cached activations.  Works on a cohort stack
     as ``forward_stack`` does.
     """
-    grads_w = [None] * len(params.layer_weights)
-    grads_b = [None] * len(params.layer_biases)
+    grads = ModelParams(np.empty_like(params.vector), params.architecture)
     delta = dlogits
-    for i in range(len(params.layer_weights) - 1, -1, -1):
-        grads_w[i] = acts[i].swapaxes(-1, -2) @ delta
-        grads_b[i] = delta.sum(axis=-2)
-        delta = delta @ params.layer_weights[i].swapaxes(-1, -2)
+    for i, ((w, _), (gw, gb)) in reversed(list(enumerate(
+            zip(params.layers, grads.layers)))):
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=gw)
+        np.sum(delta, axis=-2, out=gb)
+        delta = delta @ w.swapaxes(-1, -2)
         if i > 0:
             delta = delta * (acts[i] > 0.0)
-    grads = ModelParams(grads_w, grads_b, params.architecture)
     return grads, delta
 
 
@@ -184,18 +242,6 @@ def _step_plan(sizes, block: int, join_lone_row: bool = False) -> list:
     return steps
 
 
-def _layer_views(flat: np.ndarray, architecture) -> list:
-    """(weights, biases) views per layer of a (g, P) stack of flat vectors."""
-    views, pos = [], 0
-    for fan_in, fan_out in zip(architecture[:-1], architecture[1:]):
-        w = flat[:, pos:pos + fan_in * fan_out]
-        pos += fan_in * fan_out
-        views.append((w.reshape(len(flat), fan_in, fan_out),
-                      flat[:, pos:pos + fan_out]))
-        pos += fan_out
-    return views
-
-
 def train_cohort(starts, shards, rngs, rounds: int, eta: float,
                  batch_size: int) -> list:
     """Minibatch SGD for a cohort of learners in lockstep.
@@ -210,9 +256,9 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     The learners are ordered by shard size, largest first, so that every
     stacked operand is a view and each learner meets the matrix shapes, and
     so the summation order, of its solo run: see ``_step_plan``.  A short
-    last minibatch is never padded.  The parameters live in one (g, P)
-    stack in the ``flatten_params`` layout, and the gradients in a second
-    one, so a step ends in one fused update.
+    last minibatch is never padded.  The starts' vectors are stacked into
+    one (g, P) array, and the gradients live in a second one, so a step
+    ends in one fused update.
 
     The final loss runs over row blocks of ``LOSS_ROWS``.  A row's logits
     from a block equal those from the whole shard because the blocks start
@@ -230,9 +276,7 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
         return []
     if any(len(shard) == 0 for shard in shards):
         raise ValueError("empty batch")
-    arch = starts[0].architecture
-    if any(s.architecture != arch for s in starts):
-        raise ValueError("parameter shapes disagree")
+    arch = _architecture(*starts)
 
     order = sorted(range(len(shards)), key=lambda i: -len(shards[i]))
     sizes = [len(shards[i]) for i in order]
@@ -240,7 +284,7 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
                             np.asarray(shards[i].labels, dtype=np.intp))
                for i in order]
     g, rows = len(order), min(sizes[0], max(batch_size, LOSS_ROWS + 1))
-    stack = np.stack([flatten_params(starts[i]) for i in order])
+    stack = np.stack([starts[i].vector for i in order])
     grads = np.empty_like(stack)
     layers = _layer_views(stack, arch)
     grad_layers = _layer_views(grads, arch)
@@ -323,7 +367,7 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
             probs, labels[first:stop, lo:hi, None], axis=-1)[..., 0]
     out = [None] * g
     for row, i in enumerate(order):
-        out[i] = (unflatten_params(stack[row], arch),
+        out[i] = (ModelParams(stack[row].copy(), arch),
                   _mean_nll(picked[row, :sizes[row]]))
     return out
 
@@ -353,98 +397,62 @@ def evaluate(params: ModelParams, batch: LabeledBatch):
 
 
 def params_copy(params: ModelParams) -> ModelParams:
-    return ModelParams([w.copy() for w in params.layer_weights],
-                       [b.copy() for b in params.layer_biases],
-                       params.architecture)
+    return ModelParams(params.vector.copy(), params.architecture)
 
 
 def params_scale(params: ModelParams, factor: float) -> ModelParams:
-    return ModelParams([w * factor for w in params.layer_weights],
-                       [b * factor for b in params.layer_biases],
-                       params.architecture)
+    return ModelParams(params.vector * factor, params.architecture)
 
 
 def params_axpy(a: ModelParams, b: ModelParams, coeff: float) -> ModelParams:
     """a + coeff * b elementwise."""
-    if a.architecture != b.architecture:
-        raise ValueError("parameter shapes disagree")
-    return ModelParams(
-        [wa + coeff * wb for wa, wb in zip(a.layer_weights, b.layer_weights)],
-        [ba + coeff * bb for ba, bb in zip(a.layer_biases, b.layer_biases)],
-        a.architecture)
+    return ModelParams(a.vector + coeff * b.vector, _architecture(a, b))
 
 
 def params_combine(ca: float, a: ModelParams, cb: float,
                    b: ModelParams) -> ModelParams:
     """ca * a + cb * b elementwise."""
-    if a.architecture != b.architecture:
-        raise ValueError("parameter shapes disagree")
-    return ModelParams(
-        [ca * wa + cb * wb
-         for wa, wb in zip(a.layer_weights, b.layer_weights)],
-        [ca * ba + cb * bb
-         for ba, bb in zip(a.layer_biases, b.layer_biases)],
-        a.architecture)
+    return ModelParams(ca * a.vector + cb * b.vector, _architecture(a, b))
 
 
 def params_mean(models) -> ModelParams:
+    """Elementwise mean: a running sum in input order, then one scaling."""
     models = list(models)
     if not models:
         raise ValueError("nothing to average")
-    out = params_copy(models[0])
-    for m in models[1:]:
-        out = params_axpy(out, m, 1.0)
-    return params_scale(out, 1.0 / len(models))
+    arch = _architecture(*models)
+    total = sum((m.vector for m in models[1:]), models[0].vector)
+    return ModelParams(total * (1.0 / len(models)), arch)
 
 
 # ---------------------------------------------------------------------------
-# flat serialization: JSON shape header + little-endian float64 payload
-
-
-def flatten_params(params: ModelParams) -> np.ndarray:
-    parts = []
-    for w, b in zip(params.layer_weights, params.layer_biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts).astype(np.float64)
-
-
-def unflatten_params(vector: np.ndarray, architecture) -> ModelParams:
-    arch = tuple(int(n) for n in architecture)
-    vector = np.asarray(vector, dtype=np.float64)
-    expected = sum(i * o + o for i, o in zip(arch[:-1], arch[1:]))
-    if vector.ndim != 1 or vector.size != expected:
-        raise ValueError(f"expected {expected} values for {arch}")
-    weights, biases, pos = [], [], 0
-    for fan_in, fan_out in zip(arch[:-1], arch[1:]):
-        weights.append(vector[pos:pos + fan_in * fan_out]
-                       .reshape(fan_in, fan_out).copy())
-        pos += fan_in * fan_out
-        biases.append(vector[pos:pos + fan_out].copy())
-        pos += fan_out
-    return ModelParams(weights, biases, arch)
+# serialization: JSON shape header line + little-endian float64 payload
 
 
 def params_to_bytes(params: ModelParams) -> bytes:
-    flat = flatten_params(params)
     header = json.dumps({"architecture": list(params.architecture),
-                         "dtype": "<f8", "count": int(flat.size)},
+                         "dtype": "<f8", "count": int(params.vector.size)},
                         sort_keys=True)
-    buf = io.BytesIO()
-    buf.write(header.encode("utf-8"))
-    buf.write(b"\n")
-    buf.write(flat.astype("<f8").tobytes())
-    return buf.getvalue()
+    return (header.encode("utf-8") + b"\n"
+            + params.vector.astype("<f8").tobytes())
 
 
 def params_from_bytes(blob: bytes) -> ModelParams:
-    newline = blob.index(b"\n")
-    header = json.loads(blob[:newline].decode("utf-8"))
-    flat = np.frombuffer(blob[newline + 1:], dtype="<f8")
-    if flat.size != header["count"]:
-        raise ValueError("payload length disagrees with header count")
-    return unflatten_params(flat.astype(np.float64),
-                            header["architecture"])
+    """Inverse of ``params_to_bytes``; a ValueError says what is wrong."""
+    head, _, payload = blob.partition(b"\n")
+    try:
+        header = json.loads(head.decode("utf-8"))
+        arch = tuple(int(n) for n in header["architecture"])
+        count, dtype = int(header["count"]), header["dtype"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"unreadable header ({exc!r})") from exc
+    if dtype != "<f8":
+        raise ValueError(f"unsupported dtype {dtype!r}")
+    if len(payload) != 8 * count:
+        raise ValueError(f"payload of {len(payload)} bytes, the header "
+                         f"count of {count} needs {8 * count}")
+    return ModelParams(np.frombuffer(payload, dtype="<f8").astype(np.float64),
+                       arch)
 
 
 def save_params(params: ModelParams, path) -> None:
@@ -454,4 +462,8 @@ def save_params(params: ModelParams, path) -> None:
 
 def load_params(path) -> ModelParams:
     with open(path, "rb") as fh:
-        return params_from_bytes(fh.read())
+        blob = fh.read()
+    try:
+        return params_from_bytes(blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -8,11 +8,13 @@ from vecafl.rng import substream
 
 
 def make_params(weights, biases):
-    """ModelParams from plain nested lists."""
+    """ModelParams from plain nested lists, one layer's weights then its
+    biases after the other."""
     ws = [np.array(w, dtype=float) for w in weights]
     bs = [np.array(b, dtype=float) for b in biases]
     arch = tuple([ws[0].shape[0]] + [w.shape[1] for w in ws])
-    return ModelParams(ws, bs, arch)
+    return ModelParams(np.concatenate([part.ravel() for w, b in zip(ws, bs)
+                                       for part in (w, b)]), arch)
 
 
 def tiny_122_net():
@@ -25,18 +27,12 @@ def tiny_122_net():
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
     return (a.architecture == b.architecture
-            and all(np.array_equal(x, y)
-                    for x, y in zip(a.layer_weights, b.layer_weights))
-            and all(np.array_equal(x, y)
-                    for x, y in zip(a.layer_biases, b.layer_biases)))
+            and np.array_equal(a.vector, b.vector))
 
 
 def params_allclose(a: ModelParams, b: ModelParams, tol=1e-12) -> bool:
     return (a.architecture == b.architecture
-            and all(np.allclose(x, y, rtol=0.0, atol=tol)
-                    for x, y in zip(a.layer_weights, b.layer_weights))
-            and all(np.allclose(x, y, rtol=0.0, atol=tol)
-                    for x, y in zip(a.layer_biases, b.layer_biases)))
+            and np.allclose(a.vector, b.vector, rtol=0.0, atol=tol))
 
 
 def balanced_batch(n: int, dim: int, seed: int = 0) -> LabeledBatch:

@@ -30,9 +30,8 @@ from vecafl.ddpg import (AgentNets, OUNoise, actor_forward, actor_update,
 from vecafl.engine import (GlobalModel, global_update, local_delay,
                            staleness_weight, upload_delay, weighted_upload)
 from vecafl.harness import attack_sweep, run_experiment
-from vecafl.model import (LabeledBatch, cross_entropy, flatten_params,
-                          gradient, init_params, params_copy,
-                          unflatten_params)
+from vecafl.model import (LabeledBatch, ModelParams, cross_entropy,
+                          gradient, init_params, params_copy)
 from vecafl.world import build_dataset
 
 pytestmark = pytest.mark.slow  # minutes of training; `-m "not slow"` skips
@@ -213,8 +212,8 @@ def _kernel_oracle_errors():
         params = init_params((3, 4, 2), np.random.default_rng(
             int(rng.integers(1 << 30))))
         w_l, w_u = rng.uniform(0.2, 1.2, 2)
-        scaled = flatten_params(weighted_upload(params, w_l, w_u))
-        flat = flatten_params(params)
+        scaled = weighted_upload(params, w_l, w_u).vector
+        flat = params.vector
         track("upload_scale", _mp_norm_rel(
             scaled, [mpf(e) * (mpf(w_l) * mpf(w_u)) for e in flat]))
 
@@ -222,21 +221,21 @@ def _kernel_oracle_errors():
         gm = GlobalModel(init_params((3, 2), sub))
         incoming = init_params((3, 2), sub)
         mix = rng.uniform(0.1, 0.9)
-        old_flat = flatten_params(gm.params)
-        inc_flat = flatten_params(incoming)
+        old_flat = gm.params.vector
+        inc_flat = incoming.vector
         global_update(gm, incoming, mix)
         track("global_mix", _mp_norm_rel(
-            flatten_params(gm.params),
+            gm.params.vector,
             [mpf(mix) * mpf(a) + (1 - mpf(mix)) * mpf(b)
              for a, b in zip(old_flat, inc_flat)]))
 
         target = init_params((3, 2), sub)
         online = init_params((3, 2), sub)
         tau = rng.uniform(0.001, 0.1)
-        tgt_flat = flatten_params(target)
-        on_flat = flatten_params(online)
+        tgt_flat = target.vector
+        on_flat = online.vector
         track("soft_update", _mp_norm_rel(
-            flatten_params(soft_update(target, online, tau)),
+            soft_update(target, online, tau).vector,
             [mpf(tau) * mpf(b) + (1 - mpf(tau)) * mpf(a)
              for a, b in zip(tgt_flat, on_flat)]))
 
@@ -326,10 +325,10 @@ def test_criterion3_gradient_checks():
     params = init_params(arch, rng)
     batch = LabeledBatch(rng.normal(size=(20, 6)),
                          rng.integers(0, 10, size=20))
-    analytic = flatten_params(gradient(params, batch))
+    analytic = gradient(params, batch).vector
     fd = _central_diff(
-        lambda th: cross_entropy(unflatten_params(th, arch), batch),
-        flatten_params(params))
+        lambda th: cross_entropy(ModelParams(th, arch), batch),
+        params.vector)
     errs["classifier"] = _norm_rel(analytic, fd)
 
     actor_arch, critic_arch = (4, 6, 1), (5, 6, 1)
@@ -342,24 +341,24 @@ def test_criterion3_gradient_checks():
     targets = rng.normal(size=6)
 
     new_critic, _ = critic_update(nets, svecs, avecs, targets, 1.0)
-    analytic = flatten_params(nets.critic) - flatten_params(new_critic)
+    analytic = nets.critic.vector - new_critic.vector
 
     def critic_loss(theta):
-        q = critic_forward(unflatten_params(theta, critic_arch), svecs, avecs)
+        q = critic_forward(ModelParams(theta, critic_arch), svecs, avecs)
         return float(np.mean((q - targets) ** 2))
 
     errs["critic"] = _norm_rel(
-        analytic, _central_diff(critic_loss, flatten_params(nets.critic)))
+        analytic, _central_diff(critic_loss, nets.critic.vector))
 
     new_actor = actor_update(nets, svecs, 1.0)
-    analytic = flatten_params(new_actor) - flatten_params(nets.actor)
+    analytic = new_actor.vector - nets.actor.vector
 
     def actor_value(theta):
-        actions = actor_forward(unflatten_params(theta, actor_arch), svecs)
+        actions = actor_forward(ModelParams(theta, actor_arch), svecs)
         return float(np.mean(critic_forward(nets.critic, svecs, actions)))
 
     errs["chained_actor"] = _norm_rel(
-        analytic, _central_diff(actor_value, flatten_params(nets.actor)))
+        analytic, _central_diff(actor_value, nets.actor.vector))
 
     elapsed = time.monotonic() - t0
     bad = {k: v for k, v in errs.items() if v > 1e-4}

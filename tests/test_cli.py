@@ -49,6 +49,36 @@ def test_train_then_redeploy_checkpoint(cfg_file, tmp_path, capsys):
     assert "deployment of" in capsys.readouterr().out
 
 
+def test_redeploy_writes_the_test_rows_of_its_training_run(cfg_file,
+                                                          tmp_path):
+    run, redeploy = tmp_path / "run", tmp_path / "redeploy"
+    assert main(["train", "--config", cfg_file, "--seed", "4",
+                 "--out", str(run)]) == 0
+    assert main(["test", "--checkpoint", str(run / "checkpoint"),
+                 "--config", cfg_file, "--seed", "4",
+                 "--out", str(redeploy)]) == 0
+    header, *rows = (run / "metrics.csv").read_text().splitlines()
+    test_rows = [r for r in rows if r.split(",")[0].endswith("-test")]
+    assert test_rows
+    assert (redeploy / "metrics.csv").read_text().splitlines() \
+        == [header] + test_rows
+    assert (redeploy / "config.txt").read_text() \
+        == (run / "config.txt").read_text()
+
+
+def test_corrupt_checkpoint_exits_2_naming_the_file(cfg_file, tmp_path,
+                                                    capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg_file, "--seed", "3",
+                 "--out", str(run)]) == 0
+    (run / "checkpoint" / "manifest.json").write_text("{}")
+    code = main(["test", "--checkpoint", str(run / "checkpoint"),
+                 "--config", cfg_file, "--seed", "3",
+                 "--out", str(tmp_path / "redeploy")])
+    assert code == 2
+    assert "manifest.json: missing config_hash" in capsys.readouterr().err
+
+
 def test_bad_baseline_scheme_exits_2(cfg_file, capsys):
     code = main(["baseline", "--scheme", "ddafl", "--config", cfg_file,
                  "--seed", "1"])

@@ -7,7 +7,7 @@ from conftest import params_equal
 from vecafl.data import (DataShard, apply_attack, class_flip, data_flip,
                          degrade_bad_node, load_csv, partition,
                          synthetic_blobs)
-from vecafl.model import LabeledBatch, flatten_params, init_params
+from vecafl.model import LabeledBatch, init_params
 from vecafl.rng import substream
 
 
@@ -138,13 +138,13 @@ def test_shard_training_view_caches_tampered_copy():
 def test_degrade_zero_scale_is_identity():
     p = init_params((6, 5, 10), substream(16, "deg"))
     out = degrade_bad_node(p, 0.0, substream(17, "deg"))
-    assert np.allclose(flatten_params(out), flatten_params(p), atol=0.0)
+    assert np.allclose(out.vector, p.vector, atol=0.0)
 
 
 def test_degrade_noise_scale_statistics():
     p = init_params((100, 90, 10), substream(18, "deg"))  # 10000 params
     out = degrade_bad_node(p, 0.1, substream(19, "deg"))
-    diff = flatten_params(out) - flatten_params(p)
+    diff = out.vector - p.vector
     assert diff.size >= 10_000
     assert float(np.std(diff)) == pytest.approx(0.1, abs=0.005)
 
@@ -176,3 +176,16 @@ def test_load_csv_rejects_label_only(tmp_path):
     path.write_text("1\n2\n")
     with pytest.raises(ValueError):
         load_csv(path)
+
+
+def test_degrade_draws_every_weight_before_any_bias():
+    # the noise stream order that frozen results depend on: each layer's
+    # weights, then each layer's biases, one standard normal per parameter
+    p = init_params((6, 5, 10), substream(22, "deg"))
+    out = degrade_bad_node(p, 0.5, substream(23, "deg"))
+    rng = substream(23, "deg")
+    noise = [rng.standard_normal(w.shape) for w in p.layer_weights] \
+        + [rng.standard_normal(b.shape) for b in p.layer_biases]
+    for got, start, z in zip(out.layer_weights + out.layer_biases,
+                             p.layer_weights + p.layer_biases, noise):
+        assert np.array_equal(got, start + 0.5 * z)

@@ -1,5 +1,6 @@
 """Agent-side unit tests: replay, noise, networks, updates, training loop."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -14,8 +15,8 @@ from vecafl.ddpg import (AgentNets, OUNoise, ReplayBuffer, SystemState,
                          binarize_action, build_state, compute_reward,
                          critic_forward, critic_targets, critic_update,
                          init_agent, soft_update, state_vector)
-from vecafl.model import (flatten_params, forward_stack, init_params,
-                          params_copy, params_to_bytes, unflatten_params)
+from vecafl.model import (ModelParams, forward_stack, init_params,
+                          params_copy, params_to_bytes)
 from vecafl.rng import substream
 from vecafl.world import build_dataset
 
@@ -311,14 +312,14 @@ def test_critic_update_gradient_matches_finite_differences():
     targets = rng.uniform(-2.0, 0.0, size=4)
     lr = 1e-3
     new, _ = critic_update(nets, svecs, avecs, targets, lr)
-    got = (flatten_params(nets.critic) - flatten_params(new)) / lr
+    got = (nets.critic.vector - new.vector) / lr
 
     def loss_at(flat):
-        params = unflatten_params(flat, nets.critic.architecture)
+        params = ModelParams(flat, nets.critic.architecture)
         q = critic_forward(params, svecs, avecs)
         return float(np.mean((q - targets) ** 2))
 
-    base = flatten_params(nets.critic)
+    base = nets.critic.vector
     eps = 1e-5
     fd = np.empty_like(base)
     for i in range(base.size):
@@ -346,15 +347,15 @@ def test_actor_update_gradient_matches_finite_differences():
     svecs = rng.uniform(0.0, 1.0, size=(4, 4))
     lr = 1e-3
     new = actor_update(nets, svecs, lr)
-    got = (flatten_params(new) - flatten_params(nets.actor)) / lr
+    got = (new.vector - nets.actor.vector) / lr
 
     def value_at(flat):
-        params = unflatten_params(flat, nets.actor.architecture)
+        params = ModelParams(flat, nets.actor.architecture)
         logits, _ = forward_stack(params, svecs)
         actions = 1.0 / (1.0 + np.exp(-logits))
         return float(np.mean(critic_forward(nets.critic, svecs, actions)))
 
-    base = flatten_params(nets.actor)
+    base = nets.actor.vector
     eps = 1e-5
     fd = np.empty_like(base)
     for i in range(base.size):
@@ -365,7 +366,7 @@ def test_actor_update_gradient_matches_finite_differences():
     assert np.linalg.norm(got - fd) <= 1e-4 * max(np.linalg.norm(fd), 1e-12)
 
     # the step really ascends the critic's value for a small rate
-    assert value_at(flatten_params(new)) >= value_at(base)
+    assert value_at(new.vector) >= value_at(base)
 
 
 def test_soft_update_blend_and_edges():
@@ -387,8 +388,8 @@ def test_soft_update_contracts_distance():
     a = init_params((3, 4), substream(26, "su"))
     b = init_params((3, 4), substream(27, "su"))
     out = soft_update(a, b, 0.25)
-    before = np.linalg.norm(flatten_params(a) - flatten_params(b))
-    after = np.linalg.norm(flatten_params(out) - flatten_params(b))
+    before = np.linalg.norm(a.vector - b.vector)
+    after = np.linalg.norm(out.vector - b.vector)
     assert after == pytest.approx(0.75 * before, rel=1e-12)
 
 
@@ -473,3 +474,57 @@ def test_checkpoint_refuses_config_mismatch(tmp_path):
     other = agent_cfg(agg_mix=0.6)
     with pytest.raises(ValueError):
         ddpg.load_checkpoint(tmp_path / "ck", other)
+
+
+def saved_checkpoint(tmp_path, seed=35):
+    cfg = agent_cfg()
+    ddpg.save_checkpoint(tmp_path / "ck", init_agent(cfg, seed), cfg, 1)
+    return cfg, tmp_path / "ck"
+
+
+def test_checkpoint_refuses_a_net_of_another_architecture(tmp_path):
+    cfg, ck = saved_checkpoint(tmp_path)
+    # an actor trained with another hidden1, under the matching manifest
+    other = init_agent(agent_cfg(hidden1=17), 35).actor
+    (ck / "actor.bin").write_bytes(params_to_bytes(other))
+    with pytest.raises(ValueError, match=r"actor\.bin: architecture "
+                       r"\(12, 17, 8, 3\) does not match"):
+        ddpg.load_checkpoint(ck, cfg)
+
+
+def test_checkpoint_names_a_missing_manifest_key(tmp_path):
+    cfg, ck = saved_checkpoint(tmp_path)
+    manifest = json.loads((ck / "manifest.json").read_text())
+    del manifest["config_hash"]
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError,
+                       match=r"manifest\.json: missing config_hash"):
+        ddpg.load_checkpoint(ck, cfg)
+
+
+@pytest.mark.parametrize("text, why", [
+    ("{", "not JSON"),
+    ("[1, 2]", "missing config_hash, episodes_trained, rng_digest")])
+def test_checkpoint_names_an_unreadable_manifest(tmp_path, text, why):
+    cfg, ck = saved_checkpoint(tmp_path)
+    (ck / "manifest.json").write_text(text)
+    with pytest.raises(ValueError, match=rf"manifest\.json: {why}"):
+        ddpg.load_checkpoint(ck, cfg)
+
+
+def test_checkpoint_names_a_truncated_payload(tmp_path):
+    cfg, ck = saved_checkpoint(tmp_path)
+    blob = (ck / "critic.bin").read_bytes()
+    (ck / "critic.bin").write_bytes(blob[:-3])
+    with pytest.raises(ValueError, match=r"critic\.bin: payload of \d+ "
+                       r"bytes, the header count of \d+ needs"):
+        ddpg.load_checkpoint(ck, cfg)
+
+
+def test_checkpoint_names_a_header_without_its_newline(tmp_path):
+    cfg, ck = saved_checkpoint(tmp_path)
+    blob = (ck / "target_actor.bin").read_bytes()
+    (ck / "target_actor.bin").write_bytes(blob.replace(b"\n", b"", 1))
+    with pytest.raises(ValueError,
+                       match=r"target_actor\.bin: unreadable header"):
+        ddpg.load_checkpoint(ck, cfg)

@@ -23,8 +23,8 @@ from vecafl.engine import (FilterSoundnessError, GlobalModel,
                            TrustedShardError, global_update, local_delay,
                            run_afl_slot, run_phase, staleness_weight,
                            threshold_accept, upload_delay, weighted_upload)
-from vecafl.model import (LabeledBatch, flatten_params, init_params,
-                          local_train, params_copy, unflatten_params)
+from vecafl.model import (LabeledBatch, ModelParams, init_params,
+                          local_train, params_copy)
 from vecafl.rng import substream
 from vecafl.world import World, build_dataset
 
@@ -151,9 +151,9 @@ def test_global_update_convex_envelope_property():
         mix = float(rng.uniform(0.01, 0.99))
         gm = GlobalModel(old)
         global_update(gm, new, mix)
-        lo = np.minimum(flatten_params(old), flatten_params(new))
-        hi = np.maximum(flatten_params(old), flatten_params(new))
-        got = flatten_params(gm.params)
+        lo = np.minimum(old.vector, new.vector)
+        hi = np.maximum(old.vector, new.vector)
+        got = gm.params.vector
         assert np.all(got >= lo - 1e-12) and np.all(got <= hi + 1e-12)
 
 
@@ -169,12 +169,12 @@ def test_global_update_stays_between_old_and_upload(arch, mix, scales, same,
     # the reals, and with a == b it may round just past both
     rng = substream(seed, "fold")
     old = init_params(arch, rng)
-    flat_old = flatten_params(old) * scales[0]
+    flat_old = old.vector * scales[0]
     flat_up = flat_old.copy() if same else \
-        flatten_params(init_params(arch, rng)) * scales[1]
-    gm = GlobalModel(unflatten_params(flat_old, arch), update_count=3)
-    global_update(gm, unflatten_params(flat_up, arch), mix)
-    got = flatten_params(gm.params)
+        init_params(arch, rng).vector * scales[1]
+    gm = GlobalModel(ModelParams(flat_old, arch), update_count=3)
+    global_update(gm, ModelParams(flat_up, arch), mix)
+    got = gm.params.vector
     slack = 2.0 * np.finfo(float).eps * np.maximum(abs(flat_old),
                                                    abs(flat_up))
     assert np.all(got >= np.minimum(flat_old, flat_up) - slack)
@@ -446,12 +446,12 @@ def poison_vehicle(monkeypatch, vid, corrupt):
     def poisoned(starts, shards, rngs, *args):
         out = real(starts, shards, rngs, *args)
         params, loss = out[vid]
-        flat = flatten_params(params)
+        flat = params.vector.copy()
         if corrupt == "loss":
             loss = math.nan
         else:
             flat[3] = math.nan if corrupt == "nan" else -math.inf
-        out[vid] = (unflatten_params(flat, params.architecture), loss)
+        out[vid] = (ModelParams(flat, params.architecture), loss)
         return out
 
     monkeypatch.setattr(engine, "train_cohort", poisoned)
@@ -476,7 +476,7 @@ def test_nonfinite_upload_is_never_folded(monkeypatch, mode, corrupt):
     assert res.reject_reasons == {1: engine.NONFINITE}
     assert 1 not in res.accepted_ids
     assert gm.update_count == len(res.accepted_ids) > 0
-    assert np.isfinite(flatten_params(gm.params)).all()
+    assert np.isfinite(gm.params.vector).all()
     assert res.filter_calls == (2 if mode == "afl_defended" else 0)
     finite = [v for v in res.reported if v != 1]
     assert res.avg_loss == pytest.approx(
@@ -516,8 +516,8 @@ def test_phase_deterministic():
                       attack_kind="none", attacked_ids=())
             for _ in range(2)]
     assert runs[0].digests == runs[1].digests
-    assert np.array_equal(flatten_params(runs[0].global_model.params),
-                          flatten_params(runs[1].global_model.params))
+    assert np.array_equal(runs[0].global_model.params.vector,
+                          runs[1].global_model.params.vector)
     assert [r.avg_loss for r in runs[0].records] \
         == [r.avg_loss for r in runs[1].records]
 

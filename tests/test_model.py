@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from conftest import (balanced_batch, make_params, params_allclose,
                       params_equal, tiny_122_net)
 from vecafl.model import (LOSS_ROWS, LabeledBatch, ModelParams,
-                          _step_plan, cross_entropy, evaluate,
-                          flatten_params, forward, forward_stack, gradient,
-                          init_params, load_params, local_train,
-                          params_axpy, params_combine, params_copy,
-                          params_from_bytes, params_mean, params_scale,
-                          params_to_bytes, save_params, sgd_step,
-                          train_cohort, unflatten_params)
+                          _step_plan, cross_entropy, evaluate, forward,
+                          forward_stack, gradient, init_params, load_params,
+                          local_train, params_axpy, params_combine,
+                          params_copy, params_from_bytes, params_mean,
+                          params_scale, params_to_bytes, save_params,
+                          sgd_step, train_cohort, weights_then_biases)
 from vecafl.rng import substream
 
 LN10 = 2.3025850929940457
@@ -31,7 +30,7 @@ def test_init_same_seed_identical():
 
 def test_init_parameter_count():
     p = init_params((64, 32, 10), substream(1, "init"))
-    assert flatten_params(p).size == 64 * 32 + 32 + 32 * 10 + 10  # 2410
+    assert p.vector.shape == (64 * 32 + 32 + 32 * 10 + 10,)  # 2410
 
 
 def test_init_biases_zero():
@@ -39,11 +38,50 @@ def test_init_biases_zero():
     assert all(np.all(b == 0.0) for b in p.layer_biases)
 
 
+def test_init_draws_each_layer_in_order():
+    p = init_params((5, 4, 3), substream(1, "init"))
+    rng = substream(1, "init")
+    for w, (fan_in, fan_out) in zip(p.layer_weights, [(5, 4), (4, 3)]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        assert np.array_equal(w, rng.uniform(-bound, bound,
+                                             size=(fan_in, fan_out)))
+
+
 def test_init_rejects_bad_architecture():
     with pytest.raises(ValueError):
         init_params((64,), substream(1, "init"))
     with pytest.raises(ValueError):
         init_params((64, 0, 10), substream(1, "init"))
+
+
+# -- layout ------------------------------------------------------------------
+
+
+def test_layers_are_views_of_the_vector_in_layout_order():
+    p = make_params([np.arange(6).reshape(3, 2), np.arange(8).reshape(2, 4)],
+                    [[6, 7], [8, 9, 10, 11]])
+    # layer by layer: row-major weights, then biases
+    assert np.array_equal(p.vector, [0, 1, 2, 3, 4, 5, 6, 7,
+                                     0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+    assert np.array_equal(p.layer_weights[1], np.arange(8).reshape(2, 4))
+    assert np.array_equal(p.layer_biases[0], [6, 7])
+    p.layer_weights[0][2, 1] = -1.0
+    p.layer_biases[1][0] = -2.0
+    assert p.vector[5] == -1.0 and p.vector[16] == -2.0
+
+
+def test_cohort_layers_carry_the_learner_axis():
+    p = init_params((3, 2, 4), substream(2, "cohort"))
+    stack = ModelParams(np.stack([p.vector, 2 * p.vector]), p.architecture)
+    assert [w.shape for w in stack.layer_weights] == [(2, 3, 2), (2, 2, 4)]
+    assert [b.shape for b in stack.layer_biases] == [(2, 2), (2, 4)]
+    assert np.array_equal(stack.layer_weights[1][1], 2 * p.layer_weights[1])
+
+
+def test_weights_then_biases_positions():
+    # (3, 2, 4): w0 at 0..5, b0 at 6..7, w1 at 8..15, b1 at 16..19
+    assert weights_then_biases((3, 2, 4)).tolist() == \
+        [*range(0, 6), *range(8, 16), 6, 7, *range(16, 20)]
 
 
 # -- forward pass ------------------------------------------------------------
@@ -101,16 +139,14 @@ def test_cross_entropy_rejects_empty_batch():
 
 
 def _central_difference(params, batch, eps=1e-5):
-    flat = flatten_params(params)
+    flat = params.vector
     grad = np.empty_like(flat)
     for i in range(flat.size):
         up, down = flat.copy(), flat.copy()
         up[i] += eps
         down[i] -= eps
-        grad[i] = (cross_entropy(unflatten_params(up, params.architecture),
-                                 batch)
-                   - cross_entropy(unflatten_params(down,
-                                                    params.architecture),
+        grad[i] = (cross_entropy(ModelParams(up, params.architecture), batch)
+                   - cross_entropy(ModelParams(down, params.architecture),
                                    batch)) / (2 * eps)
     return grad
 
@@ -118,7 +154,7 @@ def _central_difference(params, batch, eps=1e-5):
 def test_gradient_matches_finite_differences():
     params = init_params((8, 4, 10), substream(7, "grad"))
     batch = balanced_batch(20, 8, seed=8)
-    got = flatten_params(gradient(params, batch))
+    got = gradient(params, batch).vector
     want = _central_difference(params, batch)
     denom = np.maximum(np.abs(want), 1e-8)
     assert np.max(np.abs(got - want) / denom) < 1e-4
@@ -246,7 +282,7 @@ def check_cohort(arch, sizes, batch_size, rounds=2, eta=0.05,
     assert len(got) == len(want)
     for (gp, gl), (wp, wl) in zip(got, want):
         assert gp.architecture == wp.architecture
-        assert np.max(np.abs(flatten_params(gp) - flatten_params(wp))) == 0.0
+        assert np.max(np.abs(gp.vector - wp.vector)) == 0.0
         assert abs(gl - wl) == 0.0
 
 
@@ -342,8 +378,7 @@ def test_loss_blocks_reproduce_whole_shard_logits(arch):
     # train_cohort scores the final model in these row blocks; each
     # block's logits must equal the same rows of the whole-shard forward
     params = init_params(arch, substream(22, "blocks"))
-    one = ModelParams([w[None] for w in params.layer_weights],
-                      [b[None] for b in params.layer_biases], arch)
+    one = ModelParams(params.vector[None], arch)
     for n in (1, 2, 3, 9, LOSS_ROWS - 1, LOSS_ROWS + 1, 2 * LOSS_ROWS + 1,
               250, 1000):
         x = random_shard(n, arch[0], n).inputs
@@ -469,12 +504,42 @@ def test_params_file_round_trip(tmp_path):
     assert params_equal(load_params(path), p)
 
 
-def test_unflatten_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        unflatten_params(np.zeros(7), (3, 2))
+def test_params_reject_wrong_length():
+    with pytest.raises(ValueError, match="expected 8 values"):
+        ModelParams(np.zeros(7), (3, 2))
+    with pytest.raises(ValueError, match="expected 8 values"):
+        ModelParams(np.zeros((2, 2, 8)), (3, 2))
 
 
 def test_params_bytes_rejects_truncated_payload():
     blob = params_to_bytes(init_params((3, 2), substream(25, "ser")))
     with pytest.raises(ValueError):
         params_from_bytes(blob[:-8])
+    with pytest.raises(ValueError, match="payload of 61 bytes"):
+        params_from_bytes(blob[:-3])
+
+
+def test_params_bytes_keep_the_header_format():
+    blob = params_to_bytes(make_params([[[1.0], [2.0]]], [[-0.5]]))
+    assert blob == (b'{"architecture": [2, 1], "count": 3, "dtype": "<f8"}\n'
+                    + np.array([1.0, 2.0, -0.5], "<f8").tobytes())
+
+
+@pytest.mark.parametrize("header, why", [
+    (b"not json", "unreadable header"),
+    (b'{"architecture": [3, 2], "dtype": "<f8"}', "unreadable header"),
+    (b'{"architecture": [3, 2], "count": 8, "dtype": ">f4"}',
+     "unsupported dtype"),
+    (b'{"architecture": [3, 3], "count": 8, "dtype": "<f8"}',
+     "expected 12 values"),
+])
+def test_params_bytes_name_a_bad_header(header, why):
+    with pytest.raises(ValueError, match=why):
+        params_from_bytes(header + b"\n" + np.zeros(8).tobytes())
+
+
+def test_load_params_names_the_file(tmp_path):
+    path = tmp_path / "params.bin"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ValueError, match="params.bin: unreadable header"):
+        load_params(path)
