@@ -8,8 +8,8 @@ from vecafl.rng import substream
 
 
 def make_params(weights, biases):
-    """ModelParams from plain nested lists, one layer's weights then its
-    biases after the other."""
+    """ModelParams from plain nested lists: per layer, the weights
+    row-major, then the biases."""
     ws = [np.array(w, dtype=float) for w in weights]
     bs = [np.array(b, dtype=float) for b in biases]
     arch = tuple([ws[0].shape[0]] + [w.shape[1] for w in ws])
