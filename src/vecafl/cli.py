@@ -63,7 +63,8 @@ def cmd_train(args) -> int:
 def cmd_test(args) -> int:
     cfg = _load(args)
     nets, manifest = ddpg.load_checkpoint(args.checkpoint, cfg)
-    scheme = args.scheme or "ddafl"
+    # checkpoints written before the manifest kept its scheme were ddafl's
+    scheme = args.scheme or manifest.get("scheme") or "ddafl"
     if not scheme.startswith("ddafl"):
         raise ConfigError("test deploys a trained policy; pick a ddafl "
                           "scheme")

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SimConfig, config_hash
-from .engine import GlobalModel, PhaseRecord, run_afl_slot, run_phase
+from .engine import run_phase
+# evaluate is unused here but stays bound: perfbench's slot clock patches it
 from .model import (ModelParams, backprop_from_logits, evaluate,
                     forward_stack, init_params, load_params, params_axpy,
                     params_combine, params_copy, save_params, sgd_step)
@@ -152,30 +153,6 @@ def binarize_action(weights: np.ndarray) -> np.ndarray:
     return mask
 
 
-def compute_reward(weights: np.ndarray, avg_loss: float, mean_delay: float,
-                   cfg: SimConfig) -> float:
-    """Negative cost of the slot, spread over the admission budget.
-
-    Cost blends the announced-loss average with the mean end-to-end delay
-    of the arrived uploads; the K/sum(weights) prefactor charges timid
-    selections.  Slots where nothing arrived contribute zero to a term.
-    """
-    weights = np.asarray(weights, dtype=float)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("selection weights must sum to a positive value")
-    loss_term = 0.0 if math.isnan(avg_loss) else avg_loss
-    delay_term = 0.0 if math.isnan(mean_delay) else mean_delay
-    k = weights.size
-    return -(k / total) * (cfg.loss_weight * loss_term
-                           + cfg.delay_weight * delay_term)
-
-
-def slot_reward(weights, mask, slot_result, cfg: SimConfig) -> float:
-    return compute_reward(weights, slot_result.avg_loss,
-                          slot_result.mean_delay, cfg)
-
-
 # ---------------------------------------------------------------------------
 # learning updates
 
@@ -262,7 +239,9 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
     Training aggregates without the upload filter and without tampering;
     the degraded vehicle, if configured, is part of the environment.  The
     world and the global model restart every episode, and network updates
-    begin once the replay holds strictly more than one minibatch.
+    begin once the replay holds strictly more than one minibatch.  The
+    episodes run on ``engine.run_phase``: the actor plus exploration noise
+    selects, and each slot's transition is stored and learned from.
     """
     k = cfg.vehicle_count
     nets = init_agent(cfg, seed)
@@ -270,54 +249,47 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
     noise = OUNoise(k, cfg.ou_decay, math.sqrt(cfg.ou_variance))
     noise_rng = substream(seed, "agent", "noise")
     sample_rng = substream(seed, "agent", "replay")
+    svec = None                   # state vector of the slot about to run
 
+    def select(world: World, prev_action: np.ndarray):
+        nonlocal svec
+        if world.slot == 0:
+            noise.reset()
+            svec = state_vector(build_state(world, prev_action), cfg)
+        weights = np.clip(actor_forward(nets.actor, svec)
+                          + noise.sample(noise_rng), cfg.action_floor, 1.0)
+        return weights, binarize_action(weights)
+
+    def observe(world: World, weights: np.ndarray, res, reward: float):
+        nonlocal svec
+        next_svec = state_vector(build_state(world, weights), cfg)
+        replay.push(svec, weights, reward, next_svec)
+        svec = next_svec
+        if len(replay) > cfg.replay_batch:
+            svecs, avecs, rews, nvecs = replay.sample(sample_rng,
+                                                      cfg.replay_batch)
+            targets = critic_targets(nets, rews, nvecs, cfg.discount)
+            nets.critic, _ = critic_update(nets, svecs, avecs, targets,
+                                           cfg.critic_lr)
+            nets.actor = actor_update(nets, svecs, cfg.actor_lr)
+            nets.target_critic = soft_update(nets.target_critic,
+                                             nets.critic, cfg.soft_tau)
+            nets.target_actor = soft_update(nets.target_actor,
+                                            nets.actor, cfg.soft_tau)
+
+    phase = run_phase(cfg, dataset, seed, "train", cfg.train_episodes,
+                      select, observe, defense_on=False,
+                      lt_weight_on=lt_weight_on, ct_weight_on=ct_weight_on,
+                      restart_global=True)
     episode_rewards = np.zeros(cfg.train_episodes)
-    records, digests = [], []
-    for episode in range(1, cfg.train_episodes + 1):
-        world = World(cfg, dataset, seed, "train", episode)
-        global_model = GlobalModel(init_params(
-            cfg.classifier_arch, substream(seed, "global-init", "train",
-                                           episode)))
-        noise.reset()
-        svec = state_vector(build_state(world, np.ones(k)), cfg)
-        for slot in range(1, cfg.slots_per_episode + 1):
-            weights = np.clip(actor_forward(nets.actor, svec)
-                              + noise.sample(noise_rng),
-                              cfg.action_floor, 1.0)
-            mask = binarize_action(weights)
-            res = run_afl_slot(world, np.flatnonzero(mask), global_model,
-                               None, cfg, defense_on=False,
-                               lt_weight_on=lt_weight_on,
-                               ct_weight_on=ct_weight_on)
-            reward = slot_reward(weights, mask, res, cfg)
-            world.advance()
-            next_svec = state_vector(build_state(world, weights), cfg)
-            replay.push(svec, weights, reward, next_svec)
-
-            if len(replay) > cfg.replay_batch:
-                svecs, avecs, rews, nvecs = replay.sample(sample_rng,
-                                                          cfg.replay_batch)
-                targets = critic_targets(nets, rews, nvecs, cfg.discount)
-                nets.critic, _ = critic_update(nets, svecs, avecs, targets,
-                                               cfg.critic_lr)
-                nets.actor = actor_update(nets, svecs, cfg.actor_lr)
-                nets.target_critic = soft_update(nets.target_critic,
-                                                 nets.critic, cfg.soft_tau)
-                nets.target_actor = soft_update(nets.target_actor,
-                                                nets.actor, cfg.soft_tau)
-
-            acc, err = evaluate(global_model.params, world.eval_batch)
-            records.append(PhaseRecord(episode, slot, res.avg_loss, acc, err,
-                                       reward, len(res.accepted_ids),
-                                       res.mean_delay, 0.0))
-            episode_rewards[episode - 1] += reward
-            svec = next_svec
-        digests.append(world.digest())
+    for rec in phase.records:
+        episode_rewards[rec.episode - 1] += rec.reward
 
     states = "".join(json.dumps(r.bit_generator.state, sort_keys=True,
                                 default=str) for r in (noise_rng, sample_rng))
     rng_digest = hashlib.sha256(states.encode()).hexdigest()[:16]
-    return TrainResult(nets, episode_rewards, records, digests, rng_digest)
+    return TrainResult(nets, episode_rewards, phase.records, phase.digests,
+                       rng_digest)
 
 
 def greedy_select(actor: ModelParams, cfg: SimConfig):
@@ -331,19 +303,16 @@ def greedy_select(actor: ModelParams, cfg: SimConfig):
 
 def test_policy(actor: ModelParams, cfg: SimConfig, dataset, seed: int, *,
                 defense_on: bool = True, lt_weight_on: bool = True,
-                ct_weight_on: bool = True, attack_kind: str = "none",
-                attacked_ids=()):
+                ct_weight_on: bool = True, attacked_ids=()):
     """Deploy a trained actor for ``cfg.test_episodes`` episodes.
 
-    No noise, no learning; the upload filter and any tampering are active
-    here rather than during training.
+    No noise, no learning; the upload filter and any ``cfg.attack``
+    tampering are active here rather than during training.
     """
-    reward_fn = lambda w, m, res: slot_reward(w, m, res, cfg)
     return run_phase(cfg, dataset, seed, "test", cfg.test_episodes,
-                     greedy_select(actor, cfg), reward_fn,
-                     aggregator="afl", defense_on=defense_on,
+                     greedy_select(actor, cfg), defense_on=defense_on,
                      lt_weight_on=lt_weight_on, ct_weight_on=ct_weight_on,
-                     attack_kind=attack_kind, attacked_ids=attacked_ids)
+                     attacked_ids=attacked_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ few local SGD passes, and upload staleness-weighted parameters that the
 roadside unit folds in one by one in arrival order.  A trusted model
 trained on the unit's own clean shard supplies the loss threshold that
 screens tampered uploads before they reach the global model.
+``run_phase`` is the one episode and slot loop, for training and
+deployment alike.
 """
 
 import math
@@ -265,7 +267,26 @@ def sync_round(world: World, global_model: GlobalModel,
 
 
 # ---------------------------------------------------------------------------
-# deployment loop shared by the learned policy and the baselines
+# the one slot loop, shared by training and every deployment
+
+
+def compute_reward(weights: np.ndarray, avg_loss: float, mean_delay: float,
+                   cfg: SimConfig) -> float:
+    """Negative cost of the slot, spread over the admission budget.
+
+    Cost blends the announced-loss average with the mean end-to-end delay
+    of the arrived uploads; the K/sum(weights) prefactor charges timid
+    selections.  Slots where nothing arrived contribute zero to a term.
+    """
+    weights = np.asarray(weights, dtype=float)
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise ValueError("selection weights must sum to a positive value")
+    loss_term = 0.0 if math.isnan(avg_loss) else avg_loss
+    delay_term = 0.0 if math.isnan(mean_delay) else mean_delay
+    k = weights.size
+    return -(k / total) * (cfg.loss_weight * loss_term
+                           + cfg.delay_weight * delay_term)
 
 
 @dataclass
@@ -287,37 +308,44 @@ class PhaseResult:
     admissions: np.ndarray        # per-vehicle count of admitted slots
     total_slots: int
     global_model: GlobalModel
-    trusted_model: GlobalModel
     digests: list                 # one realisation digest per episode
     slot_results: list
 
 
 def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
-              select_fn, reward_fn=None, *, aggregator: str = "afl",
+              select_fn, observe=None, *, aggregator: str = "afl",
               defense_on: bool = True, lt_weight_on: bool = True,
-              ct_weight_on: bool = True, attack_kind: str = "none",
-              attacked_ids=()) -> PhaseResult:
-    """Run ``episodes`` deployment episodes against one shared global model.
+              ct_weight_on: bool = True, attacked_ids=(),
+              restart_global: bool = False) -> PhaseResult:
+    """Run ``episodes`` episodes of ``cfg.slots_per_episode`` slots each.
 
-    The world (positions, channels, data assignment) restarts every episode
-    while the global and trusted models keep training across the whole
-    phase.  ``select_fn(world, prev_action) -> (weights, mask)`` picks the
-    uploaders each slot; ``reward_fn(weights, mask, slot_result)`` is only
-    used for logging here.
+    The world restarts every episode, with ``cfg.attack`` on
+    ``attacked_ids``.  The global model (and the trusted model, when
+    ``defense_on``) is drawn once from ``substream(seed, "global-init",
+    phase)`` and trains across the phase; with ``restart_global`` it is
+    redrawn every episode from ``substream(seed, "global-init", phase,
+    episode)``.  Each slot: ``select_fn(world, prev_action) -> (weights,
+    mask)`` picks the uploaders, the round runs, ``compute_reward`` scores
+    it, the world advances, ``observe(world, weights, slot_result,
+    reward)`` sees the advanced world, and the global model is evaluated
+    on the fixed ``world.eval_batch`` for the slot's record.
     """
     k = cfg.vehicle_count
-    init_rng = substream(seed, "global-init", phase)
-    global_model = GlobalModel(init_params(cfg.classifier_arch, init_rng))
-    trusted_model = GlobalModel(params_copy(global_model.params)) \
-        if defense_on else None
-
     records, digests, slot_results = [], [], []
     admissions = np.zeros(k)
     frac = len(attacked_ids) / k
+    global_model = None
     for episode in range(1, episodes + 1):
         world = World(cfg, dataset, seed, phase, episode)
-        if attack_kind != "none" and attacked_ids:
-            world.set_attacks(attacked_ids, attack_kind)
+        if restart_global or global_model is None:
+            tags = (episode,) if restart_global else ()
+            global_model = GlobalModel(init_params(
+                cfg.classifier_arch,
+                substream(seed, "global-init", phase, *tags)))
+            trusted_model = GlobalModel(params_copy(global_model.params)) \
+                if defense_on else None
+        if cfg.attack != "none" and attacked_ids:
+            world.set_attacks(attacked_ids, cfg.attack)
         prev_action = np.ones(k)
         for slot in range(1, cfg.slots_per_episode + 1):
             weights, mask = select_fn(world, prev_action)
@@ -329,7 +357,11 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
                                    defense_on=defense_on,
                                    lt_weight_on=lt_weight_on,
                                    ct_weight_on=ct_weight_on)
-            reward = reward_fn(weights, mask, res) if reward_fn else math.nan
+            reward = compute_reward(weights, res.avg_loss, res.mean_delay,
+                                    cfg)
+            world.advance()
+            if observe is not None:
+                observe(world, weights, res, reward)
             acc, err = evaluate(global_model.params, world.eval_batch)
             records.append(PhaseRecord(episode, slot, res.avg_loss, acc, err,
                                        reward, len(res.accepted_ids),
@@ -337,8 +369,7 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
             slot_results.append(res)
             admissions += mask
             prev_action = weights
-            world.advance()
         digests.append(world.digest())
     return PhaseResult(records, admissions,
                        episodes * cfg.slots_per_episode, global_model,
-                       trusted_model, digests, slot_results)
+                       digests, slot_results)

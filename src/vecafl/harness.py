@@ -49,7 +49,6 @@ class ExperimentResult:
     train_rewards: np.ndarray     # empty for baselines
     admissions: np.ndarray        # test-phase admitted slots per vehicle
     total_test_slots: int
-    train_digests: list
     test_digests: list
     nets: object                  # AgentNets or None
     attacked_ids: tuple
@@ -130,11 +129,7 @@ def resolve_attacked_ids(cfg: SimConfig, actor, dataset, seed: int,
     if actor is None:
         return tuple(range(min(count, k)))
     world = World(cfg, dataset, seed, "test", 1)
-    state = ddpg.build_state(world, np.ones(k))
-    weights = np.clip(ddpg.actor_forward(actor,
-                                         ddpg.state_vector(state, cfg)),
-                      cfg.action_floor, 1.0)
-    mask = ddpg.binarize_action(weights)
+    weights, mask = ddpg.greedy_select(actor, cfg)(world, np.ones(k))
     admitted = sorted(np.flatnonzero(mask), key=lambda v: (-weights[v], v))
     rest = sorted((v for v in range(k) if not mask[v]),
                   key=lambda v: (-weights[v], v))
@@ -173,8 +168,8 @@ def run_experiment(scheme: str, cfg: SimConfig, seed: int,
     flags = _scheme_flags(scheme)
     cfg_hash = config_hash(cfg)
     dataset = build_dataset(cfg, seed)
-    rows, train_rewards, train_digests = [], np.zeros(0), []
-    nets = None
+    rows, train_rewards, nets = [], np.zeros(0), None
+    select = _select_everyone(cfg.vehicle_count)
 
     if flags["learned"]:
         train_res = pretrained if pretrained is not None else ddpg.train(
@@ -182,26 +177,15 @@ def run_experiment(scheme: str, cfg: SimConfig, seed: int,
             ct_weight_on=flags["ct"])
         nets = train_res.nets
         train_rewards = train_res.episode_rewards
-        train_digests = train_res.digests
         rows += _phase_rows(train_res.records, f"{scheme}-s{seed}-train",
                             scheme, cfg_hash)
-        attacked = resolve_attacked_ids(cfg, nets.actor, dataset, seed)
-        phase = ddpg.test_policy(nets.actor, cfg, dataset, seed,
-                                 defense_on=flags["defense"],
-                                 lt_weight_on=flags["lt"],
-                                 ct_weight_on=flags["ct"],
-                                 attack_kind=cfg.attack,
-                                 attacked_ids=attacked)
-    else:
-        attacked = resolve_attacked_ids(cfg, None, dataset, seed)
-        reward_fn = lambda w, m, res: ddpg.slot_reward(w, m, res, cfg)
-        phase = run_phase(cfg, dataset, seed, "test", cfg.test_episodes,
-                          _select_everyone(cfg.vehicle_count), reward_fn,
-                          aggregator="sync" if flags["sync"] else "afl",
-                          defense_on=False, lt_weight_on=False,
-                          ct_weight_on=False, attack_kind=cfg.attack,
-                          attacked_ids=attacked)
-
+        select = ddpg.greedy_select(nets.actor, cfg)
+    attacked = resolve_attacked_ids(cfg, nets.actor if nets else None,
+                                    dataset, seed)
+    phase = run_phase(cfg, dataset, seed, "test", cfg.test_episodes, select,
+                      aggregator="sync" if flags["sync"] else "afl",
+                      defense_on=flags["defense"], lt_weight_on=flags["lt"],
+                      ct_weight_on=flags["ct"], attacked_ids=attacked)
     rows += _phase_rows(phase.records, f"{scheme}-s{seed}-test", scheme,
                         cfg_hash)
 
@@ -217,7 +201,7 @@ def run_experiment(scheme: str, cfg: SimConfig, seed: int,
 
     return ExperimentResult(scheme, seed, cfg_hash, rows, train_rewards,
                             phase.admissions, phase.total_slots,
-                            train_digests, phase.digests, nets, attacked,
+                            phase.digests, nets, attacked,
                             phase.slot_results, out_dir or "")
 
 
@@ -258,7 +242,7 @@ def attack_sweep(cfg: SimConfig, seed: int, fractions, attack_kind: str,
             cell_cfg = replace(cfg, attack=kind, attacked_vehicles=ids)
             phase = ddpg.test_policy(actor, cell_cfg, dataset, seed,
                                      defense_on=scheme == "ddafl",
-                                     attack_kind=kind, attacked_ids=ids)
+                                     attacked_ids=ids)
             run_id = (f"sweep-{attack_kind}-f{fraction:g}-{scheme}"
                       f"-s{seed}")
             rows += _phase_rows(phase.records, run_id, scheme,

@@ -372,18 +372,6 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     return out
 
 
-def local_train(start: ModelParams, shard: LabeledBatch, rounds: int,
-                eta: float, batch_size: int,
-                rng: np.random.Generator):
-    """Minibatch SGD for ``rounds`` full passes over the shard.
-
-    Returns the trained parameters and the mean loss of the final model on
-    the whole shard: a cohort of one.
-    """
-    return train_cohort([start], [shard], [rng], rounds, eta,
-                        batch_size)[0]
-
-
 def evaluate(params: ModelParams, batch: LabeledBatch):
     """(accuracy, error_rate) under argmax prediction, ties to lowest class."""
     probs = softmax(forward_stack(params, batch.inputs)[0])

@@ -25,10 +25,10 @@ from vecafl.channel import (ChannelState, LinkBudget, Position3,
                             transmission_rate)
 from vecafl.config import SimConfig
 from vecafl.ddpg import (AgentNets, OUNoise, actor_forward, actor_update,
-                         compute_reward, critic_forward, critic_update,
-                         soft_update)
-from vecafl.engine import (GlobalModel, global_update, local_delay,
-                           staleness_weight, upload_delay, weighted_upload)
+                         critic_forward, critic_update, soft_update)
+from vecafl.engine import (GlobalModel, compute_reward, global_update,
+                           local_delay, staleness_weight, upload_delay,
+                           weighted_upload)
 from vecafl.harness import attack_sweep, run_experiment
 from vecafl.model import (LabeledBatch, ModelParams, cross_entropy,
                           gradient, init_params, params_copy)
@@ -93,7 +93,7 @@ def flip_pair(sweep):
     t0 = time.monotonic()
     phases = {
         on: ddpg.test_policy(actor, cfg, sweep.dataset, 42, defense_on=on,
-                             attack_kind="data_flip", attacked_ids=ids)
+                             attacked_ids=ids)
         for on in (True, False)
     }
     return SimpleNamespace(ids=ids, defended=phases[True],

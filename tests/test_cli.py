@@ -49,11 +49,13 @@ def test_train_then_redeploy_checkpoint(cfg_file, tmp_path, capsys):
     assert "deployment of" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scheme", ["ddafl", "ddafl_no_lt"])
 def test_redeploy_writes_the_test_rows_of_its_training_run(cfg_file,
-                                                          tmp_path):
+                                                          tmp_path, scheme):
+    # no --scheme on redeploy: the checkpoint's own scheme is deployed
     run, redeploy = tmp_path / "run", tmp_path / "redeploy"
     assert main(["train", "--config", cfg_file, "--seed", "4",
-                 "--out", str(run)]) == 0
+                 "--scheme", scheme, "--out", str(run)]) == 0
     assert main(["test", "--checkpoint", str(run / "checkpoint"),
                  "--config", cfg_file, "--seed", "4",
                  "--out", str(redeploy)]) == 0

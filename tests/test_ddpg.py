@@ -11,10 +11,10 @@ from conftest import make_params, params_allclose, params_equal, tiny_122_net
 from vecafl import ddpg
 from vecafl.config import SimConfig, validate_config
 from vecafl.ddpg import (AgentNets, OUNoise, ReplayBuffer, SystemState,
-                         actor_forward, actor_update,
-                         binarize_action, build_state, compute_reward,
-                         critic_forward, critic_targets, critic_update,
-                         init_agent, soft_update, state_vector)
+                         actor_forward, actor_update, binarize_action,
+                         build_state, critic_forward, critic_targets,
+                         critic_update, init_agent, soft_update, state_vector)
+from vecafl.engine import compute_reward
 from vecafl.model import (ModelParams, forward_stack, init_params,
                           params_copy, params_to_bytes)
 from vecafl.rng import substream

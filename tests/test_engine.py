@@ -20,11 +20,12 @@ from conftest import make_params, params_allclose
 from vecafl import engine
 from vecafl.config import SimConfig, validate_config
 from vecafl.engine import (FilterSoundnessError, GlobalModel,
-                           TrustedShardError, global_update, local_delay,
-                           run_afl_slot, run_phase, staleness_weight,
-                           threshold_accept, upload_delay, weighted_upload)
+                           TrustedShardError, compute_reward, global_update,
+                           local_delay, run_afl_slot, run_phase,
+                           staleness_weight, threshold_accept, upload_delay,
+                           weighted_upload)
 from vecafl.model import (LabeledBatch, ModelParams, init_params,
-                          local_train, params_copy)
+                          params_copy, train_cohort)
 from vecafl.rng import substream
 from vecafl.world import World, build_dataset
 
@@ -251,16 +252,16 @@ def test_slot_reports_match_recomputation():
 
 
 def test_slot_train_starts_from_snapshot():
-    # an upload equals beta*old + (1-beta)*w1*w2*local_train(snapshot)
+    # an upload equals beta*old + (1-beta)*w1*w2*(SGD from the snapshot)
     cfg = tiny_cfg()
     ds = build_dataset(cfg, 54)
     world = World(cfg, ds, 54, "test", 1)
     start = init_params(cfg.classifier_arch, substream(54, "g"))
     gm = GlobalModel(start)
     res = run_afl_slot(world, [2], gm, None, cfg, defense_on=False)
-    trained, loss = local_train(start, world.training_batch(2),
-                                cfg.local_rounds, cfg.local_lr,
-                                cfg.local_batch, world.train_rng(2))
+    trained, loss = train_cohort([start], [world.training_batch(2)],
+                                 [world.train_rng(2)], cfg.local_rounds,
+                                 cfg.local_lr, cfg.local_batch)[0]
     t_l, t_u = res.delays[2]
     w = staleness_weight(cfg.stale_base_local, t_l) \
         * staleness_weight(cfg.stale_base_upload, t_u)
@@ -363,8 +364,8 @@ def fitted_attack_slot(seed, **cfg_overrides):
     world = World(cfg, build_dataset(cfg, seed), seed, "test", 1)
     world.set_attacks((1,), "class_flip")
     start = init_params(cfg.classifier_arch, substream(seed, "g"))
-    fit, _ = local_train(start, world.eval_batch, 40, 0.2, 5,
-                         substream(seed, "fit"))
+    fit, _ = train_cohort([start], [world.eval_batch],
+                          [substream(seed, "fit")], 40, 0.2, 5)[0]
     gm = GlobalModel(params_copy(fit))
     trusted = GlobalModel(params_copy(fit))
     res = run_afl_slot(world, [0, 1, 2], gm, trusted, cfg, defense_on=True)
@@ -420,9 +421,9 @@ def test_defended_slot_accepts_only_losses_within_limit(
     if attack != "none" and attacked:
         world.set_attacks(sorted(attacked), attack)
     # a snapshot fitted for a few passes makes tampered losses stand out
-    start, _ = local_train(
-        init_params(cfg.classifier_arch, substream(seed, "g")),
-        world.eval_batch, fit_passes, 0.2, 5, substream(seed, "fit"))
+    start, _ = train_cohort(
+        [init_params(cfg.classifier_arch, substream(seed, "g"))],
+        [world.eval_batch], [substream(seed, "fit")], fit_passes, 0.2, 5)[0]
     gm = GlobalModel(params_copy(start))
     trusted = GlobalModel(params_copy(start))
     res = run_afl_slot(world, sorted(selected), gm, trusted, cfg,
@@ -493,8 +494,7 @@ def test_sync_round_counts_and_average():
     ds = build_dataset(cfg, 59)
     phase = run_phase(cfg, ds, 59, "test", 1, select_all(3),
                       aggregator="sync", defense_on=False,
-                      lt_weight_on=False, ct_weight_on=False,
-                      attack_kind="none", attacked_ids=())
+                      lt_weight_on=False, ct_weight_on=False)
     for sr in phase.slot_results:
         arrived = sorted(sr.reported)
         assert sr.accepted_ids == arrived
@@ -512,8 +512,7 @@ def test_phase_deterministic():
     cfg = tiny_cfg()
     ds = build_dataset(cfg, 60)
     runs = [run_phase(cfg, ds, 60, "test", 2, select_all(3),
-                      defense_on=True, lt_weight_on=True, ct_weight_on=True,
-                      attack_kind="none", attacked_ids=())
+                      defense_on=True, lt_weight_on=True, ct_weight_on=True)
             for _ in range(2)]
     assert runs[0].digests == runs[1].digests
     assert np.array_equal(runs[0].global_model.params.vector,
@@ -527,11 +526,9 @@ def test_paired_seed_worlds_identical_across_schemes():
     ds = build_dataset(cfg, 61)
     defended = run_phase(cfg, ds, 61, "test", 2, select_all(3),
                          defense_on=True, lt_weight_on=True,
-                         ct_weight_on=True, attack_kind="none",
-                         attacked_ids=())
+                         ct_weight_on=True)
     raw = run_phase(cfg, ds, 61, "test", 2, select_all(3),
-                    defense_on=False, lt_weight_on=False, ct_weight_on=False,
-                    attack_kind="none", attacked_ids=())
+                    defense_on=False, lt_weight_on=False, ct_weight_on=False)
     assert defended.digests == raw.digests
 
 
@@ -539,11 +536,67 @@ def test_phase_records_shape_and_bounds():
     cfg = tiny_cfg()
     ds = build_dataset(cfg, 62)
     phase = run_phase(cfg, ds, 62, "test", 2, select_all(3),
-                      defense_on=False, lt_weight_on=True, ct_weight_on=True,
-                      attack_kind="none", attacked_ids=())
+                      defense_on=False, lt_weight_on=True, ct_weight_on=True)
     assert len(phase.records) == 2 * cfg.slots_per_episode
     assert phase.total_slots == 2 * cfg.slots_per_episode
-    for rec in phase.records:
+    for rec, res in zip(phase.records, phase.slot_results):
         assert rec.accuracy + rec.error_rate == pytest.approx(1.0, abs=1e-12)
-        assert math.isnan(rec.reward)  # no reward_fn was supplied
+        assert rec.reward == compute_reward(np.ones(3), res.avg_loss,
+                                            res.mean_delay, cfg)
     assert phase.admissions.sum() == 3 * phase.total_slots
+
+
+# -- the slot loop's contract ------------------------------------------------------
+
+
+def test_observe_runs_once_per_slot_after_advance_before_evaluate(
+        monkeypatch):
+    cfg = tiny_cfg()
+    ds = build_dataset(cfg, 63)
+    events = []
+    real_evaluate = engine.evaluate
+
+    def spy_evaluate(params, batch):
+        events.append("evaluate")
+        return real_evaluate(params, batch)
+
+    def observe(world, weights, res, reward):
+        events.append(("observe", world.slot, reward))
+
+    monkeypatch.setattr(engine, "evaluate", spy_evaluate)
+    phase = run_phase(cfg, ds, 63, "test", 2, select_all(3), observe)
+    want = []
+    for rec in phase.records:
+        want += [("observe", rec.slot, rec.reward), "evaluate"]
+    assert events == want
+    assert len(want) == 2 * 2 * cfg.slots_per_episode
+
+
+@pytest.mark.parametrize("restart", [True, False])
+def test_restart_global_starts_each_episode_from_its_own_draw(
+        monkeypatch, restart):
+    cfg = tiny_cfg()
+    ds = build_dataset(cfg, 64)
+    starts = {}                  # episode -> (global, trusted) at slot 1
+    real_slot = engine.run_afl_slot
+
+    def spy_slot(world, selected, global_model, trusted_model, *a, **kw):
+        if world.slot == 0:
+            starts[world.episode] = (params_copy(global_model.params),
+                                     params_copy(trusted_model.params))
+        return real_slot(world, selected, global_model, trusted_model,
+                         *a, **kw)
+
+    monkeypatch.setattr(engine, "run_afl_slot", spy_slot)
+    run_phase(cfg, ds, 64, "test", 3, select_all(3), restart_global=restart)
+    phase_draw = init_params(cfg.classifier_arch,
+                             substream(64, "global-init", "test")).vector
+    for episode, (start, trusted) in starts.items():
+        own = init_params(cfg.classifier_arch,
+                          substream(64, "global-init", "test",
+                                    episode)).vector
+        assert np.array_equal(start.vector, own) == restart
+        assert np.array_equal(trusted.vector, own) == restart
+        assert np.array_equal(start.vector, phase_draw) \
+            == (not restart and episode == 1)
+    assert sorted(starts) == [1, 2, 3]

@@ -10,10 +10,10 @@ from conftest import (balanced_batch, make_params, params_allclose,
 from vecafl.model import (LOSS_ROWS, LabeledBatch, ModelParams,
                           _step_plan, cross_entropy, evaluate, forward,
                           forward_stack, gradient, init_params, load_params,
-                          local_train, params_axpy, params_combine,
-                          params_copy, params_from_bytes, params_mean,
-                          params_scale, params_to_bytes, save_params,
-                          sgd_step, train_cohort, weights_then_biases)
+                          params_axpy, params_combine, params_copy,
+                          params_from_bytes, params_mean, params_scale,
+                          params_to_bytes, save_params, sgd_step,
+                          train_cohort, weights_then_biases)
 from vecafl.rng import substream
 
 LN10 = 2.3025850929940457
@@ -213,7 +213,8 @@ def test_sgd_rejects_negative_eta():
 def test_local_train_zero_eta_noop():
     start = init_params((6, 4, 10), substream(11, "lt"))
     batch = balanced_batch(16, 6)
-    out, loss = local_train(start, batch, 3, 0.0, 8, substream(12, "lt"))
+    out, loss = train_cohort([start], [batch], [substream(12, "lt")], 3, 0.0,
+                             8)[0]
     assert params_equal(out, start)
     assert loss == pytest.approx(cross_entropy(start, batch), abs=1e-12)
 
@@ -226,15 +227,18 @@ def test_local_train_reduces_loss_on_separable_toy():
     batch = LabeledBatch(inputs, labels)
     start = init_params((4, 6, 10), substream(14, "lt"))
     before = cross_entropy(start, batch)
-    _, after = local_train(start, batch, 5, 0.1, 10, substream(15, "lt"))
+    _, after = train_cohort([start], [batch], [substream(15, "lt")], 5, 0.1,
+                            10)[0]
     assert after < before
 
 
 def test_local_train_deterministic():
     start = init_params((6, 4, 10), substream(16, "lt"))
     batch = balanced_batch(20, 6, seed=17)
-    a, la = local_train(start, batch, 2, 0.05, 7, substream(18, "lt"))
-    b, lb = local_train(start, batch, 2, 0.05, 7, substream(18, "lt"))
+    a, la = train_cohort([start], [batch], [substream(18, "lt")], 2, 0.05,
+                         7)[0]
+    b, lb = train_cohort([start], [batch], [substream(18, "lt")], 2, 0.05,
+                         7)[0]
     assert params_equal(a, b)
     assert la == lb
 
@@ -242,8 +246,8 @@ def test_local_train_deterministic():
 def test_local_train_rejects_bad_batch_size():
     start = init_params((6, 4, 10), substream(16, "lt"))
     with pytest.raises(ValueError):
-        local_train(start, balanced_batch(20, 6), 1, 0.1, 0,
-                    substream(18, "lt"))
+        train_cohort([start], [balanced_batch(20, 6)], [substream(18, "lt")],
+                     1, 0.1, 0)
 
 
 # -- cohort training -----------------------------------------------------------

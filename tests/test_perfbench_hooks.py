@@ -9,9 +9,13 @@ running a cell.
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from vecafl import harness
+from vecafl.config import SimConfig, validate_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,3 +49,25 @@ def test_benchmark_recorders_install_on_the_package_and_restore(bench):
         assert vars(mod) == before[layer], layer
     assert vars(modules["world"].World)["__init__"] is world_init
 
+
+
+def test_slot_clock_cuts_a_learned_cell_into_its_slots(bench):
+    # training runs on run_phase inside ddpg.train, so the two loop roots
+    # nest; every slot of both stages must still end exactly once
+    run, spans = bench
+    cfg = validate_config(replace(
+        SimConfig(), vehicle_count=3, dataset_size=260, feature_dim=6,
+        classifier_arch=(6, 8, 10), shard_size=40, rsu_shard_size=40,
+        eval_size=40, local_rounds=1, local_batch=10, slots_per_episode=3,
+        train_episodes=2, test_episodes=1, bad_vehicle=-1, hidden1=16,
+        hidden2=8, replay_batch=2))
+    clock = spans.SlotClock()
+    patcher = spans.Patcher()
+    try:
+        clock.install(patcher, run.MODULES)
+        harness.run_experiment("ddafl", cfg, 5)
+    finally:
+        patcher.restore()
+    slots = (cfg.train_episodes + cfg.test_episodes) * cfg.slots_per_episode
+    assert len(clock.slot_s) == len(clock.slot_cpu_s) == slots
+    assert all(s > 0.0 for s in clock.slot_s)
