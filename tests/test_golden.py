@@ -5,9 +5,11 @@ shifts results deterministically passes it.  This test compares against
 values frozen in ``golden_outputs.json`` instead.  The config is the
 default one cut short for speed: it keeps the 250-sample degraded vehicle
 and the 600-sample trusted shard, so learners with short last minibatches
-train every slot.  Three cells deploy; ``ddafl_train`` also trains the
-agent, on nets narrow enough that no agent product is split over BLAS
-threads, and freezes the sum and the sum of squares of each learned net.
+train every slot.  Three cells deploy.  Two also train the agent and
+freeze the sum and the sum of squares of each learned net:
+``ddafl_train`` on 16x12 nets, and ``ddafl_train_wide`` at the default
+400x300 widths and minibatch of 64, whose agent products are large enough
+for OpenBLAS to split over threads; the package pins BLAS to one thread.
 
 Regenerate (only when a change of results is intended and explained):
 
@@ -40,8 +42,11 @@ CELLS = {  # cell -> (scheme, config overrides)
     "ddafl_train": ("ddafl", {"train_episodes": 3, "test_episodes": 1,
                               "replay_batch": 8, "hidden1": 16,
                               "hidden2": 12}),
+    # 5 x 20 transitions against a minibatch of 64: 36 agent updates
+    "ddafl_train_wide": ("ddafl", {"train_episodes": 5, "test_episodes": 1,
+                                   "slots_per_episode": 20}),
 }
-TRAINED = "ddafl_train"       # the one cell that learns its policy
+TRAINED = ("ddafl_train", "ddafl_train_wide")   # the cells that learn
 NETS = ("actor", "critic", "target_actor", "target_critic")
 
 
@@ -68,11 +73,11 @@ def cell_values(cell: str) -> list:
             for r in run_cell(cell).rows if r.slot > 0]
 
 
-def net_values() -> dict:
+def net_values(cell: str) -> dict:
     """[sum, sum of squares] of the parameters of each learned net."""
     out = {}
     for name in NETS:
-        params = getattr(run_cell(TRAINED).nets, name)
+        params = getattr(run_cell(cell).nets, name)
         flat = np.concatenate([a.ravel() for a in params.layer_weights
                                + params.layer_biases])
         out[name] = [float(np.sum(flat)), float(np.sum(flat * flat))]
@@ -100,9 +105,10 @@ def test_per_slot_outputs_match_frozen_reference(cell):
             assert _same(gv, wv), f"slot {slot}: {name} {gv!r} != {wv!r}"
 
 
-def test_trained_nets_match_frozen_reference():
-    want = _golden()[f"{TRAINED}_nets"]
-    got = net_values()
+@pytest.mark.parametrize("cell", TRAINED)
+def test_trained_nets_match_frozen_reference(cell):
+    want = _golden()[f"{cell}_nets"]
+    got = net_values(cell)
     assert sorted(got) == sorted(want)
     for name in NETS:
         for what, gv, wv in zip(("sum", "sum of squares"), got[name],
@@ -117,12 +123,13 @@ def test_golden_cells_run_the_short_minibatch_learners():
     assert cfg.bad_vehicle >= 0
 
 
-def test_training_cell_updates_the_agent():
-    cfg = golden_cfg(**CELLS[TRAINED][1])
+@pytest.mark.parametrize("cell", TRAINED)
+def test_training_cell_updates_the_agent(cell):
+    cfg = golden_cfg(**CELLS[cell][1])
     # updates start once the replay holds more than one minibatch
     assert cfg.train_episodes * cfg.slots_per_episode > cfg.replay_batch
     start = ddpg.init_agent(cfg, SEED).actor
-    trained = run_cell(TRAINED).nets.actor
+    trained = run_cell(cell).nets.actor
     assert not all(np.array_equal(a, b) for a, b in
                    zip(start.layer_weights, trained.layer_weights))
 
@@ -131,8 +138,9 @@ if __name__ == "__main__":
     blocks = [f' "{cell}": [\n  '
               + ",\n  ".join(json.dumps(row) for row in cell_values(cell))
               + "\n ]" for cell in sorted(CELLS)]
-    blocks.append(f' "{TRAINED}_nets": '
-                  + json.dumps(net_values(), sort_keys=True))
+    blocks += [f' "{cell}_nets": ' + json.dumps(net_values(cell),
+                                                 sort_keys=True)
+               for cell in TRAINED]
     GOLDEN.write_text("{\n" + ",\n".join(blocks) + "\n}\n",
                       encoding="utf-8")
     sys.exit(0)
