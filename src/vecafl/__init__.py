@@ -4,6 +4,47 @@ Self-contained numpy simulation of a roadside unit that aggregates local
 models uploaded by passing vehicles over a fading uplink.  Vehicle selection
 is learned with an actor-critic policy, and uploads can be screened by a
 loss-threshold filter against a trusted model kept at the roadside unit.
+
+Importing the package pins numpy's OpenBLAS to one thread.  The agent's
+products are large enough for OpenBLAS to split over threads, which changes
+their last bits with the thread count and leaves the idle worker spinning
+through the rest of each slot.
 """
 
+import ctypes
+import glob
+import os
+
+import numpy as np
+
 __version__ = "0.1.0"
+
+# (setter, getter) pairs: scipy-openblas wheels, then a plain OpenBLAS
+_BLAS_THREAD_API = (("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_get_num_threads64_"),
+                    ("openblas_set_num_threads", "openblas_get_num_threads"))
+
+
+def _pin_blas_to_one_thread():
+    """Set numpy's bundled OpenBLAS to one thread and return the thread
+    count it reads back, or None when no thread setter is found."""
+    home = os.path.dirname(np.__file__)
+    # wheels bundle it in numpy.libs (Linux, Windows) or numpy/.dylibs
+    libs = sorted(glob.glob(os.path.join(home + ".libs", "*openblas*"))
+                  + glob.glob(os.path.join(home, ".dylibs", "*openblas*")))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for setter, getter in _BLAS_THREAD_API:
+            set_threads = getattr(lib, setter, None)
+            get_threads = getattr(lib, getter, None)
+            if set_threads is None or get_threads is None:
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads(1)
+            return get_threads()
+    return None
+
+
+# thread count of numpy's BLAS after pinning; None where it is unknown
+BLAS_THREADS = _pin_blas_to_one_thread()

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import BLAS_THREADS
 from .config import SimConfig, config_hash
 from .engine import run_phase
 # evaluate is unused here but stays bound: perfbench's slot clock patches it
-from .model import (ModelParams, backprop_from_logits, evaluate,
-                    forward_stack, init_params, load_params, params_axpy,
-                    params_combine, params_copy, save_params, sgd_step)
+from .model import (ModelParams, evaluate, forward_stack, init_params,
+                    input_gradient, load_params, param_gradient, params_copy,
+                    save_params)
 from .rng import substream
 from .world import World
 
@@ -180,23 +181,32 @@ def critic_targets(nets: AgentNets, rewards: np.ndarray,
     return rewards + gamma * next_q
 
 
+def _step(params: ModelParams, grad: np.ndarray, coeff: float) -> None:
+    """params + coeff * grad, in place; ``grad`` is overwritten."""
+    grad *= coeff
+    params.vector += grad
+
+
 def critic_update(nets: AgentNets, svecs: np.ndarray, avecs: np.ndarray,
-                  targets: np.ndarray, lr: float):
-    """One mean-squared-error descent step; returns (new critic, mse)."""
+                  targets: np.ndarray, lr: float, grad: np.ndarray) -> float:
+    """One mean-squared-error descent step on ``nets.critic``, in place;
+    returns the mse.  ``grad`` is scratch shaped as the critic's vector."""
     x = np.concatenate([svecs, avecs], axis=1)
     logits, acts = forward_stack(nets.critic, x)
     q = logits[:, 0]
     diff = q - targets
     dlogits = (2.0 / q.size) * diff[:, None]
-    grads, _ = backprop_from_logits(nets.critic, acts, dlogits)
-    return sgd_step(nets.critic, grads, lr), float(np.mean(diff ** 2))
+    _step(nets.critic, param_gradient(nets.critic, acts, dlogits, grad), -lr)
+    return float(np.mean(diff ** 2))
 
 
-def actor_update(nets: AgentNets, svecs: np.ndarray, lr: float) -> ModelParams:
-    """Ascend the critic's value of the actor's own actions.
+def actor_update(nets: AgentNets, svecs: np.ndarray, lr: float,
+                 grad: np.ndarray) -> None:
+    """Ascend the critic's value of the actor's own actions, in place.
 
     The critic's gradient with respect to the action block is chained
-    through the sigmoid head into the actor parameters.
+    through the sigmoid head into the actor parameters.  ``grad`` is
+    scratch shaped as the actor's vector.
     """
     state_dim = svecs.shape[1]
     logits_a, acts_a = forward_stack(nets.actor, svecs)
@@ -204,23 +214,28 @@ def actor_update(nets: AgentNets, svecs: np.ndarray, lr: float) -> ModelParams:
     x = np.concatenate([svecs, actions], axis=1)
     _, acts_c = forward_stack(nets.critic, x)
     dmean_q = np.full((svecs.shape[0], 1), 1.0 / svecs.shape[0])
-    _, dx = backprop_from_logits(nets.critic, acts_c, dmean_q)
-    dactions = dx[:, state_dim:]
+    dactions = input_gradient(nets.critic, acts_c, dmean_q)[:, state_dim:]
     dlogits_a = dactions * actions * (1.0 - actions)
-    grads, _ = backprop_from_logits(nets.actor, acts_a, dlogits_a)
-    return params_axpy(nets.actor, grads, lr)
+    _step(nets.actor, param_gradient(nets.actor, acts_a, dlogits_a, grad), lr)
 
 
-def soft_update(target: ModelParams, online: ModelParams,
-                tau: float) -> ModelParams:
-    """Move the target a fraction tau toward the online network."""
+def soft_update(target: ModelParams, online: ModelParams, tau: float,
+                scratch: np.ndarray) -> None:
+    """Move the target a fraction tau toward the online network, in place:
+    tau * online + (1 - tau) * target.  ``scratch`` is overwritten."""
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    return params_combine(tau, online, 1.0 - tau, target)
+    np.multiply(tau, online.vector, out=scratch)
+    target.vector *= 1.0 - tau
+    target.vector += scratch
 
 
 # ---------------------------------------------------------------------------
 # training and deployment
+
+
+class TrainingDiverged(ValueError):
+    """An agent update left a non-finite critic loss or network."""
 
 
 @dataclass
@@ -241,7 +256,9 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
     world and the global model restart every episode, and network updates
     begin once the replay holds strictly more than one minibatch.  The
     episodes run on ``engine.run_phase``: the actor plus exploration noise
-    selects, and each slot's transition is stored and learned from.
+    selects, and each slot's transition is stored and learned from.  An
+    update that leaves the critic's loss, the critic or the actor
+    non-finite raises ``TrainingDiverged``.
     """
     k = cfg.vehicle_count
     nets = init_agent(cfg, seed)
@@ -250,6 +267,9 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
     noise_rng = substream(seed, "agent", "noise")
     sample_rng = substream(seed, "agent", "replay")
     svec = None                   # state vector of the slot about to run
+    # per net, its gradient and then its soft update's scratch
+    actor_grad = np.empty_like(nets.actor.vector)
+    critic_grad = np.empty_like(nets.critic.vector)
 
     def select(world: World, prev_action: np.ndarray):
         nonlocal svec
@@ -269,13 +289,21 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
             svecs, avecs, rews, nvecs = replay.sample(sample_rng,
                                                       cfg.replay_batch)
             targets = critic_targets(nets, rews, nvecs, cfg.discount)
-            nets.critic, _ = critic_update(nets, svecs, avecs, targets,
-                                           cfg.critic_lr)
-            nets.actor = actor_update(nets, svecs, cfg.actor_lr)
-            nets.target_critic = soft_update(nets.target_critic,
-                                             nets.critic, cfg.soft_tau)
-            nets.target_actor = soft_update(nets.target_actor,
-                                            nets.actor, cfg.soft_tau)
+            mse = critic_update(nets, svecs, avecs, targets, cfg.critic_lr,
+                                critic_grad)
+            actor_update(nets, svecs, cfg.actor_lr, actor_grad)
+            if not (math.isfinite(mse)
+                    and np.isfinite(nets.critic.vector).all()
+                    and np.isfinite(nets.actor.vector).all()):
+                raise TrainingDiverged(
+                    f"training diverged in episode {world.episode}, slot "
+                    f"{world.slot}: the critic loss or a network is not "
+                    f"finite; lower critic_lr ({cfg.critic_lr:g}) or "
+                    f"actor_lr ({cfg.actor_lr:g})")
+            soft_update(nets.target_critic, nets.critic, cfg.soft_tau,
+                        critic_grad)
+            soft_update(nets.target_actor, nets.actor, cfg.soft_tau,
+                        actor_grad)
 
     phase = run_phase(cfg, dataset, seed, "train", cfg.train_episodes,
                       select, observe, defense_on=False,
@@ -331,7 +359,8 @@ def save_checkpoint(path, nets: AgentNets, cfg: SimConfig,
         save_params(getattr(nets, attr), os.path.join(path, fname))
     manifest = {"episodes_trained": int(episodes_trained),
                 "config_hash": config_hash(cfg),
-                "rng_digest": rng_digest, "scheme": scheme}
+                "rng_digest": rng_digest, "scheme": scheme,
+                "blas_threads": BLAS_THREADS}
     with open(os.path.join(path, "manifest.json"), "w",
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -3,6 +3,7 @@
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from vecafl.cli import main
@@ -79,6 +80,23 @@ def test_corrupt_checkpoint_exits_2_naming_the_file(cfg_file, tmp_path,
                  "--out", str(tmp_path / "redeploy")])
     assert code == 2
     assert "manifest.json: missing config_hash" in capsys.readouterr().err
+
+
+def test_diverging_training_exits_2_naming_the_rates(tmp_path, capsys):
+    cfg = validate_config(replace(
+        SimConfig(), vehicle_count=3, dataset_size=400, feature_dim=6,
+        classifier_arch=(6, 8, 10), shard_size=40, rsu_shard_size=40,
+        eval_size=50, local_rounds=1, local_batch=10, slots_per_episode=3,
+        train_episodes=3, test_episodes=2, bad_vehicle=-1, hidden1=16,
+        hidden2=12, replay_batch=2, critic_lr=1e4, actor_lr=1e4))
+    save_config(cfg, tmp_path / "hot.cfg")
+    with np.errstate(all="ignore"):
+        code = main(["train", "--config", str(tmp_path / "hot.cfg"),
+                     "--seed", "2", "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "training diverged in episode 3, slot 1" in err
+    assert "critic_lr" in err and "actor_lr" in err
 
 
 def test_bad_baseline_scheme_exits_2(cfg_file, capsys):

@@ -105,15 +105,16 @@ def test_per_slot_outputs_match_frozen_reference(cell):
             assert _same(gv, wv), f"slot {slot}: {name} {gv!r} != {wv!r}"
 
 
-@pytest.mark.parametrize("cell", TRAINED)
-def test_trained_nets_match_frozen_reference(cell):
-    want = _golden()[f"{cell}_nets"]
-    got = net_values(cell)
-    assert sorted(got) == sorted(want)
-    for name in NETS:
-        for what, gv, wv in zip(("sum", "sum of squares"), got[name],
-                                want[name]):
-            assert _same(gv, wv), f"{name} {what}: {gv!r} != {wv!r}"
+def test_trained_nets_match_frozen_reference():
+    for cell in TRAINED:
+        want = _golden()[f"{cell}_nets"]
+        got = net_values(cell)
+        assert sorted(got) == sorted(want)
+        for name in NETS:
+            for what, gv, wv in zip(("sum", "sum of squares"), got[name],
+                                    want[name]):
+                assert _same(gv, wv), \
+                    f"{cell} {name} {what}: {gv!r} != {wv!r}"
 
 
 def test_golden_cells_run_the_short_minibatch_learners():
@@ -123,15 +124,15 @@ def test_golden_cells_run_the_short_minibatch_learners():
     assert cfg.bad_vehicle >= 0
 
 
-@pytest.mark.parametrize("cell", TRAINED)
-def test_training_cell_updates_the_agent(cell):
-    cfg = golden_cfg(**CELLS[cell][1])
-    # updates start once the replay holds more than one minibatch
-    assert cfg.train_episodes * cfg.slots_per_episode > cfg.replay_batch
-    start = ddpg.init_agent(cfg, SEED).actor
-    trained = run_cell(cell).nets.actor
-    assert not all(np.array_equal(a, b) for a, b in
-                   zip(start.layer_weights, trained.layer_weights))
+def test_training_cell_updates_the_agent():
+    for cell in TRAINED:
+        cfg = golden_cfg(**CELLS[cell][1])
+        # updates start once the replay holds more than one minibatch
+        assert cfg.train_episodes * cfg.slots_per_episode > cfg.replay_batch
+        start = ddpg.init_agent(cfg, SEED).actor
+        trained = run_cell(cell).nets.actor
+        assert not all(np.array_equal(a, b) for a, b in
+                       zip(start.layer_weights, trained.layer_weights))
 
 
 if __name__ == "__main__":
