@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from vecafl.cli import main
-from vecafl.config import SimConfig, save_config, validate_config
+from vecafl.config import (SimConfig, load_config, save_config,
+                           validate_config)
 
 
 @pytest.fixture()
@@ -82,13 +83,11 @@ def test_corrupt_checkpoint_exits_2_naming_the_file(cfg_file, tmp_path,
     assert "manifest.json: missing config_hash" in capsys.readouterr().err
 
 
-def test_diverging_training_exits_2_naming_the_rates(tmp_path, capsys):
-    cfg = validate_config(replace(
-        SimConfig(), vehicle_count=3, dataset_size=400, feature_dim=6,
-        classifier_arch=(6, 8, 10), shard_size=40, rsu_shard_size=40,
-        eval_size=50, local_rounds=1, local_batch=10, slots_per_episode=3,
-        train_episodes=3, test_episodes=2, bad_vehicle=-1, hidden1=16,
-        hidden2=12, replay_batch=2, critic_lr=1e4, actor_lr=1e4))
+def test_diverging_training_exits_2_naming_the_rates(cfg_file, tmp_path,
+                                                     capsys):
+    cfg = validate_config(replace(load_config(cfg_file), hidden2=12,
+                                  train_episodes=3, critic_lr=1e4,
+                                  actor_lr=1e4))
     save_config(cfg, tmp_path / "hot.cfg")
     with np.errstate(all="ignore"):
         code = main(["train", "--config", str(tmp_path / "hot.cfg"),
