@@ -14,35 +14,34 @@ through the rest of each slot.
 import ctypes
 import glob
 import os
+import warnings
 
 import numpy as np
 
 __version__ = "0.1.0"
 
-# (setter, getter) pairs: scipy-openblas wheels, then a plain OpenBLAS
-_BLAS_THREAD_API = (("scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_get_num_threads64_"),
-                    ("openblas_set_num_threads", "openblas_get_num_threads"))
-
 
 def _pin_blas_to_one_thread():
-    """Set numpy's bundled OpenBLAS to one thread and return the thread
-    count it reads back, or None when no thread setter is found."""
+    """Set numpy's bundled scipy-openblas to one thread and return the
+    thread count it reads back, or None, with a warning, when it is not
+    found."""
     home = os.path.dirname(np.__file__)
-    # wheels bundle it in numpy.libs (Linux, Windows) or numpy/.dylibs
-    libs = sorted(glob.glob(os.path.join(home + ".libs", "*openblas*"))
-                  + glob.glob(os.path.join(home, ".dylibs", "*openblas*")))
-    for path in libs:
+    # numpy 2 wheels bundle it in numpy.libs (Linux, Windows) or numpy/.dylibs
+    for path in sorted(glob.glob(os.path.join(home + ".libs", "*openblas*"))
+                       + glob.glob(os.path.join(home, ".dylibs",
+                                                "*openblas*"))):
         lib = ctypes.CDLL(path)
-        for setter, getter in _BLAS_THREAD_API:
-            set_threads = getattr(lib, setter, None)
-            get_threads = getattr(lib, getter, None)
-            if set_threads is None or get_threads is None:
-                continue
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if set_threads is not None and get_threads is not None:
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             get_threads.argtypes, get_threads.restype = [], ctypes.c_int
             set_threads(1)
             return get_threads()
+    warnings.warn("vecafl: numpy's scipy-openblas was not found, so BLAS "
+                  "keeps its own thread count; the agent's nets may then "
+                  "differ in their last bits from a one-thread run",
+                  RuntimeWarning, stacklevel=2)
     return None
 
 

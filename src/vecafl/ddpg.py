@@ -20,9 +20,9 @@ from . import BLAS_THREADS
 from .config import SimConfig, config_hash
 from .engine import run_phase
 # evaluate is unused here but stays bound: perfbench's slot clock patches it
-from .model import (ModelParams, evaluate, forward_stack, init_params,
-                    input_gradient, load_params, param_gradient, params_copy,
-                    save_params)
+from .model import (ModelParams, backprop_from_logits, evaluate,
+                    forward_stack, init_params, load_params, params_axpy,
+                    params_combine, params_copy, save_params, sgd_step)
 from .rng import substream
 from .world import World
 
@@ -181,32 +181,23 @@ def critic_targets(nets: AgentNets, rewards: np.ndarray,
     return rewards + gamma * next_q
 
 
-def _step(params: ModelParams, grad: np.ndarray, coeff: float) -> None:
-    """params + coeff * grad, in place; ``grad`` is overwritten."""
-    grad *= coeff
-    params.vector += grad
-
-
 def critic_update(nets: AgentNets, svecs: np.ndarray, avecs: np.ndarray,
-                  targets: np.ndarray, lr: float, grad: np.ndarray) -> float:
-    """One mean-squared-error descent step on ``nets.critic``, in place;
-    returns the mse.  ``grad`` is scratch shaped as the critic's vector."""
+                  targets: np.ndarray, lr: float):
+    """One mean-squared-error descent step; returns (new critic, mse)."""
     x = np.concatenate([svecs, avecs], axis=1)
     logits, acts = forward_stack(nets.critic, x)
     q = logits[:, 0]
     diff = q - targets
     dlogits = (2.0 / q.size) * diff[:, None]
-    _step(nets.critic, param_gradient(nets.critic, acts, dlogits, grad), -lr)
-    return float(np.mean(diff ** 2))
+    grads, _ = backprop_from_logits(nets.critic, acts, dlogits)
+    return sgd_step(nets.critic, grads, lr), float(np.mean(diff ** 2))
 
 
-def actor_update(nets: AgentNets, svecs: np.ndarray, lr: float,
-                 grad: np.ndarray) -> None:
-    """Ascend the critic's value of the actor's own actions, in place.
+def actor_update(nets: AgentNets, svecs: np.ndarray, lr: float) -> ModelParams:
+    """Ascend the critic's value of the actor's own actions.
 
     The critic's gradient with respect to the action block is chained
-    through the sigmoid head into the actor parameters.  ``grad`` is
-    scratch shaped as the actor's vector.
+    through the sigmoid head into the actor parameters.
     """
     state_dim = svecs.shape[1]
     logits_a, acts_a = forward_stack(nets.actor, svecs)
@@ -214,20 +205,19 @@ def actor_update(nets: AgentNets, svecs: np.ndarray, lr: float,
     x = np.concatenate([svecs, actions], axis=1)
     _, acts_c = forward_stack(nets.critic, x)
     dmean_q = np.full((svecs.shape[0], 1), 1.0 / svecs.shape[0])
-    dactions = input_gradient(nets.critic, acts_c, dmean_q)[:, state_dim:]
+    _, dx = backprop_from_logits(nets.critic, acts_c, dmean_q)
+    dactions = dx[:, state_dim:]
     dlogits_a = dactions * actions * (1.0 - actions)
-    _step(nets.actor, param_gradient(nets.actor, acts_a, dlogits_a, grad), lr)
+    grads, _ = backprop_from_logits(nets.actor, acts_a, dlogits_a)
+    return params_axpy(nets.actor, grads, lr)
 
 
-def soft_update(target: ModelParams, online: ModelParams, tau: float,
-                scratch: np.ndarray) -> None:
-    """Move the target a fraction tau toward the online network, in place:
-    tau * online + (1 - tau) * target.  ``scratch`` is overwritten."""
+def soft_update(target: ModelParams, online: ModelParams,
+                tau: float) -> ModelParams:
+    """Move the target a fraction tau toward the online network."""
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    np.multiply(tau, online.vector, out=scratch)
-    target.vector *= 1.0 - tau
-    target.vector += scratch
+    return params_combine(tau, online, 1.0 - tau, target)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +257,6 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
     noise_rng = substream(seed, "agent", "noise")
     sample_rng = substream(seed, "agent", "replay")
     svec = None                   # state vector of the slot about to run
-    # per net, its gradient and then its soft update's scratch
-    actor_grad = np.empty_like(nets.actor.vector)
-    critic_grad = np.empty_like(nets.critic.vector)
 
     def select(world: World, prev_action: np.ndarray):
         nonlocal svec
@@ -289,9 +276,9 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
             svecs, avecs, rews, nvecs = replay.sample(sample_rng,
                                                       cfg.replay_batch)
             targets = critic_targets(nets, rews, nvecs, cfg.discount)
-            mse = critic_update(nets, svecs, avecs, targets, cfg.critic_lr,
-                                critic_grad)
-            actor_update(nets, svecs, cfg.actor_lr, actor_grad)
+            nets.critic, mse = critic_update(nets, svecs, avecs, targets,
+                                             cfg.critic_lr)
+            nets.actor = actor_update(nets, svecs, cfg.actor_lr)
             if not (math.isfinite(mse)
                     and np.isfinite(nets.critic.vector).all()
                     and np.isfinite(nets.actor.vector).all()):
@@ -300,10 +287,10 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
                     f"{world.slot}: the critic loss or a network is not "
                     f"finite; lower critic_lr ({cfg.critic_lr:g}) or "
                     f"actor_lr ({cfg.actor_lr:g})")
-            soft_update(nets.target_critic, nets.critic, cfg.soft_tau,
-                        critic_grad)
-            soft_update(nets.target_actor, nets.actor, cfg.soft_tau,
-                        actor_grad)
+            nets.target_critic = soft_update(nets.target_critic,
+                                             nets.critic, cfg.soft_tau)
+            nets.target_actor = soft_update(nets.target_actor,
+                                            nets.actor, cfg.soft_tau)
 
     phase = run_phase(cfg, dataset, seed, "train", cfg.train_episodes,
                       select, observe, defense_on=False,

@@ -139,38 +139,24 @@ def forward_stack(params: ModelParams, x: np.ndarray):
     return h, acts
 
 
-def param_gradient(params: ModelParams, acts, dlogits: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    """Push a gradient at the output logits back to the parameters.
+def backprop_from_logits(params: ModelParams, acts, dlogits: np.ndarray):
+    """Push a gradient at the output logits back through the stack.
 
-    Writes the gradient into ``out``, a vector shaped as
-    ``params.vector``, and returns it.  Hidden layers use the relu mask of
-    the cached activations; the input rows get no gradient.  Works on a
-    cohort stack as ``forward_stack`` does.
+    Returns (grads, dinput) where grads mirrors the parameter layout and
+    dinput is the gradient with respect to the input rows.  Hidden layers
+    use the relu mask of the cached activations.  Works on a cohort stack
+    as ``forward_stack`` does.
     """
+    grads = ModelParams(np.empty_like(params.vector), params.architecture)
     delta = dlogits
     for i, ((w, _), (gw, gb)) in reversed(list(enumerate(
-            zip(params.layers, _layer_views(out, params.architecture))))):
+            zip(params.layers, grads.layers)))):
         np.matmul(acts[i].swapaxes(-1, -2), delta, out=gw)
         np.sum(delta, axis=-2, out=gb)
-        if i:
-            delta = delta @ w.swapaxes(-1, -2)
-            delta *= acts[i] > 0.0
-    return out
-
-
-def input_gradient(params: ModelParams, acts, dlogits: np.ndarray):
-    """Push a gradient at the output logits back to the input rows.
-
-    Forms no parameter gradient; the products and relu masks are those of
-    ``param_gradient``.
-    """
-    delta = dlogits
-    for i, (w, _) in reversed(list(enumerate(params.layers))):
         delta = delta @ w.swapaxes(-1, -2)
-        if i:
-            delta *= acts[i] > 0.0
-    return delta
+        if i > 0:
+            delta = delta * (acts[i] > 0.0)
+    return grads, delta
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -207,9 +193,8 @@ def gradient(params: ModelParams, batch: LabeledBatch) -> ModelParams:
     rows = dlogits.reshape(-1, dlogits.shape[-1])  # a view: softmax is fresh
     rows[np.arange(len(rows)), batch.labels.ravel()] -= 1.0
     dlogits /= n
-    return ModelParams(param_gradient(params, acts, dlogits,
-                                      np.empty_like(params.vector)),
-                       params.architecture)
+    grads, _ = backprop_from_logits(params, acts, dlogits)
+    return grads
 
 
 def sgd_step(params: ModelParams, grads: ModelParams,

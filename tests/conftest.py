@@ -35,22 +35,6 @@ def params_allclose(a: ModelParams, b: ModelParams, tol=1e-12) -> bool:
             and np.allclose(a.vector, b.vector, rtol=0.0, atol=tol))
 
 
-def backprop_reference(params: ModelParams, acts, dlogits: np.ndarray):
-    """(parameter gradient, input gradient) in one pass: the one backprop
-    function the package had before it split it in two, kept as the
-    reference that the split must match bit for bit."""
-    grads = ModelParams(np.empty_like(params.vector), params.architecture)
-    delta = dlogits
-    for i, ((w, _), (gw, gb)) in reversed(list(enumerate(
-            zip(params.layers, grads.layers)))):
-        np.matmul(acts[i].swapaxes(-1, -2), delta, out=gw)
-        np.sum(delta, axis=-2, out=gb)
-        delta = delta @ w.swapaxes(-1, -2)
-        if i > 0:
-            delta = delta * (acts[i] > 0.0)
-    return grads, delta
-
-
 def balanced_batch(n: int, dim: int, seed: int = 0) -> LabeledBatch:
     rng = substream(seed, "test-batch")
     inputs = rng.uniform(0.0, 1.0, size=(n, dim))

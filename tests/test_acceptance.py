@@ -232,11 +232,10 @@ def _kernel_oracle_errors():
         target = init_params((3, 2), sub)
         online = init_params((3, 2), sub)
         tau = rng.uniform(0.001, 0.1)
-        tgt_flat = target.vector.copy()  # the update works in place
+        tgt_flat = target.vector
         on_flat = online.vector
-        soft_update(target, online, tau, np.empty_like(on_flat))
         track("soft_update", _mp_norm_rel(
-            target.vector,
+            soft_update(target, online, tau).vector,
             [mpf(tau) * mpf(b) + (1 - mpf(tau)) * mpf(a)
              for a, b in zip(tgt_flat, on_flat)]))
 
@@ -341,30 +340,25 @@ def test_criterion3_gradient_checks():
     avecs = rng.uniform(0.0, 1.0, size=(6, 1))
     targets = rng.normal(size=6)
 
-    # the updates step the nets in place: keep each net's start
-    critic = params_copy(nets.critic)
-    critic_update(nets, svecs, avecs, targets, 1.0,
-                  np.empty_like(critic.vector))
-    analytic = critic.vector - nets.critic.vector
+    new_critic, _ = critic_update(nets, svecs, avecs, targets, 1.0)
+    analytic = nets.critic.vector - new_critic.vector
 
     def critic_loss(theta):
         q = critic_forward(ModelParams(theta, critic_arch), svecs, avecs)
         return float(np.mean((q - targets) ** 2))
 
-    errs["critic"] = _norm_rel(analytic,
-                               _central_diff(critic_loss, critic.vector))
+    errs["critic"] = _norm_rel(
+        analytic, _central_diff(critic_loss, nets.critic.vector))
 
-    nets.critic = critic  # the actor ascends the critic it started with
-    actor = params_copy(nets.actor)
-    actor_update(nets, svecs, 1.0, np.empty_like(actor.vector))
-    analytic = nets.actor.vector - actor.vector
+    new_actor = actor_update(nets, svecs, 1.0)
+    analytic = new_actor.vector - nets.actor.vector
 
     def actor_value(theta):
         actions = actor_forward(ModelParams(theta, actor_arch), svecs)
         return float(np.mean(critic_forward(nets.critic, svecs, actions)))
 
     errs["chained_actor"] = _norm_rel(
-        analytic, _central_diff(actor_value, actor.vector))
+        analytic, _central_diff(actor_value, nets.actor.vector))
 
     elapsed = time.monotonic() - t0
     bad = {k: v for k, v in errs.items() if v > 1e-4}

@@ -5,6 +5,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import vecafl
 
@@ -40,6 +43,16 @@ def train_in_child(out: Path, threads: str) -> str:
 
 def test_blas_is_pinned_to_one_thread():
     assert vecafl.BLAS_THREADS == 1
+
+
+def test_pinning_warns_when_numpy_bundles_no_scipy_openblas(tmp_path,
+                                                             monkeypatch):
+    # as with a numpy built against a system BLAS
+    (tmp_path / "numpy").mkdir()
+    monkeypatch.setattr(vecafl, "np", SimpleNamespace(
+        __file__=str(tmp_path / "numpy" / "__init__.py")))
+    with pytest.warns(RuntimeWarning, match="scipy-openblas was not found"):
+        assert vecafl._pin_blas_to_one_thread() is None
 
 
 def test_trained_nets_do_not_depend_on_the_blas_thread_setting(tmp_path):

@@ -8,8 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (backprop_reference, make_params, params_allclose,
-                      params_equal, tiny_122_net)
+from conftest import make_params, params_allclose, params_equal, tiny_122_net
 import vecafl
 from vecafl import ddpg
 from vecafl.config import SimConfig, validate_config
@@ -19,8 +18,7 @@ from vecafl.ddpg import (AgentNets, OUNoise, ReplayBuffer, SystemState,
                          critic_update, init_agent, soft_update, state_vector)
 from vecafl.engine import compute_reward
 from vecafl.model import (ModelParams, forward_stack, init_params,
-                          params_axpy, params_combine, params_copy,
-                          params_to_bytes)
+                          params_copy, params_to_bytes)
 from vecafl.rng import substream
 from vecafl.world import build_dataset
 
@@ -249,11 +247,6 @@ def test_reward_never_positive():
 # -- learning updates ------------------------------------------------------------------
 
 
-def scratch(params: ModelParams) -> np.ndarray:
-    """A gradient or soft-update buffer for ``params``."""
-    return np.empty_like(params.vector)
-
-
 def small_nets(seed: int, k: int = 1) -> AgentNets:
     actor = init_params((4 * k, 6, k), substream(seed, "a"))
     critic = init_params((5 * k, 6, 1), substream(seed, "c"))
@@ -299,10 +292,9 @@ def test_critic_update_no_error_no_change():
     svecs = rng.uniform(0.0, 1.0, size=(4, 4))
     avecs = rng.uniform(0.0, 1.0, size=(4, 1))
     q = critic_forward(nets.critic, svecs, avecs)
-    before = params_copy(nets.critic)
-    mse = critic_update(nets, svecs, avecs, q, 0.1, scratch(nets.critic))
+    new, mse = critic_update(nets, svecs, avecs, q, 0.1)
     assert mse == 0.0
-    assert params_equal(nets.critic, before)
+    assert params_equal(new, nets.critic)
 
 
 def test_critic_update_reports_mse():
@@ -310,8 +302,7 @@ def test_critic_update_reports_mse():
     svecs = np.zeros((1, 4))
     avecs = np.zeros((1, 1))
     q = critic_forward(nets.critic, svecs, avecs)
-    mse = critic_update(nets, svecs, avecs, q - 3.0, 0.01,
-                        scratch(nets.critic))
+    _, mse = critic_update(nets, svecs, avecs, q - 3.0, 0.01)
     assert mse == pytest.approx(9.0, abs=1e-12)
 
 
@@ -322,16 +313,15 @@ def test_critic_update_gradient_matches_finite_differences():
     avecs = rng.uniform(0.0, 1.0, size=(4, 1))
     targets = rng.uniform(-2.0, 0.0, size=4)
     lr = 1e-3
-    before = params_copy(nets.critic)
-    critic_update(nets, svecs, avecs, targets, lr, scratch(nets.critic))
-    got = (before.vector - nets.critic.vector) / lr
+    new, _ = critic_update(nets, svecs, avecs, targets, lr)
+    got = (nets.critic.vector - new.vector) / lr
 
     def loss_at(flat):
         params = ModelParams(flat, nets.critic.architecture)
         q = critic_forward(params, svecs, avecs)
         return float(np.mean((q - targets) ** 2))
 
-    base = before.vector
+    base = nets.critic.vector
     eps = 1e-5
     fd = np.empty_like(base)
     for i in range(base.size):
@@ -349,9 +339,8 @@ def test_actor_update_constant_critic_no_change():
     nets.critic.layer_biases[-1][:] = 5.0
     rng = substream(23, "au")
     svecs = rng.uniform(0.0, 1.0, size=(4, 4))
-    before = params_copy(nets.actor)
-    actor_update(nets, svecs, 0.01, scratch(nets.actor))
-    assert params_allclose(nets.actor, before, tol=1e-15)
+    new = actor_update(nets, svecs, 0.01)
+    assert params_allclose(new, nets.actor, tol=1e-15)
 
 
 def test_actor_update_gradient_matches_finite_differences():
@@ -359,9 +348,8 @@ def test_actor_update_gradient_matches_finite_differences():
     rng = substream(25, "au")
     svecs = rng.uniform(0.0, 1.0, size=(4, 4))
     lr = 1e-3
-    before = params_copy(nets.actor)
-    actor_update(nets, svecs, lr, scratch(nets.actor))
-    got = (nets.actor.vector - before.vector) / lr
+    new = actor_update(nets, svecs, lr)
+    got = (new.vector - nets.actor.vector) / lr
 
     def value_at(flat):
         params = ModelParams(flat, nets.actor.architecture)
@@ -369,7 +357,7 @@ def test_actor_update_gradient_matches_finite_differences():
         actions = 1.0 / (1.0 + np.exp(-logits))
         return float(np.mean(critic_forward(nets.critic, svecs, actions)))
 
-    base = before.vector
+    base = nets.actor.vector
     eps = 1e-5
     fd = np.empty_like(base)
     for i in range(base.size):
@@ -380,87 +368,31 @@ def test_actor_update_gradient_matches_finite_differences():
     assert np.linalg.norm(got - fd) <= 1e-4 * max(np.linalg.norm(fd), 1e-12)
 
     # the step really ascends the critic's value for a small rate
-    assert value_at(nets.actor.vector) >= value_at(base)
+    assert value_at(new.vector) >= value_at(base)
 
 
 def test_soft_update_blend_and_edges():
     ones = make_params([np.ones((2, 2))], [np.ones(2)])
     zeros = make_params([np.zeros((2, 2))], [np.zeros(2)])
-    buf = scratch(ones)
-
-    def blended(target, tau):
-        out = params_copy(target)
-        soft_update(out, ones, tau, buf)
-        return out
-
-    out = blended(zeros, 0.001)
+    out = soft_update(zeros, ones, 0.001)
     assert np.allclose(out.layer_weights[0], 0.001, atol=1e-18)
-    same = params_copy(ones)
-    soft_update(same, same, 0.3, buf)  # target and online as one net
+    same = soft_update(ones, ones, 0.3)
     assert params_allclose(same, ones, tol=1e-15)
-    snapped = blended(zeros, 1.0)
+    snapped = soft_update(zeros, ones, 1.0)
     assert params_equal(snapped, ones)
-    for tau in (0.0, 1.5):
-        with pytest.raises(ValueError):
-            soft_update(zeros, ones, tau, buf)
-    assert not zeros.vector.any()
+    with pytest.raises(ValueError):
+        soft_update(zeros, ones, 0.0)
+    with pytest.raises(ValueError):
+        soft_update(zeros, ones, 1.5)
 
 
 def test_soft_update_contracts_distance():
     a = init_params((3, 4), substream(26, "su"))
     b = init_params((3, 4), substream(27, "su"))
-    out = params_copy(a)
-    soft_update(out, b, 0.25, scratch(b))
+    out = soft_update(a, b, 0.25)
     before = np.linalg.norm(a.vector - b.vector)
     after = np.linalg.norm(out.vector - b.vector)
     assert after == pytest.approx(0.75 * before, rel=1e-12)
-
-
-def default_width_batch(seed: int):
-    """Default-width nets and a minibatch of the default 64 transitions."""
-    cfg = SimConfig()
-    nets = init_agent(cfg, seed)
-    rng = substream(seed, "batch")
-    k, n = cfg.vehicle_count, cfg.replay_batch
-    return (nets, rng.uniform(0.0, 1.0, (n, 4 * k)),
-            rng.uniform(0.0, 1.0, (n, k)), rng.uniform(-30.0, 0.0, n))
-
-
-def test_critic_update_in_place_equals_the_functional_step():
-    nets, svecs, avecs, targets = default_width_batch(41)
-    logits, acts = forward_stack(nets.critic,
-                                 np.concatenate([svecs, avecs], axis=1))
-    diff = logits[:, 0] - targets
-    grads, _ = backprop_reference(nets.critic, acts,
-                                  (2.0 / diff.size) * diff[:, None])
-    want = params_axpy(nets.critic, grads, -1e-3)
-    mse = critic_update(nets, svecs, avecs, targets, 1e-3,
-                        scratch(nets.critic))
-    assert np.array_equal(nets.critic.vector, want.vector)
-    assert mse == float(np.mean(diff ** 2))
-
-
-def test_actor_update_in_place_equals_the_functional_step():
-    nets, svecs, _, _ = default_width_batch(42)
-    _, acts_a = forward_stack(nets.actor, svecs)
-    actions = actor_forward(nets.actor, svecs)
-    _, acts_c = forward_stack(nets.critic,
-                              np.concatenate([svecs, actions], axis=1))
-    _, dx = backprop_reference(nets.critic, acts_c,
-                               np.full((len(svecs), 1), 1.0 / len(svecs)))
-    dlogits = dx[:, svecs.shape[1]:] * actions * (1.0 - actions)
-    grads, _ = backprop_reference(nets.actor, acts_a, dlogits)
-    want = params_axpy(nets.actor, grads, 1e-4)
-    actor_update(nets, svecs, 1e-4, scratch(nets.actor))
-    assert np.array_equal(nets.actor.vector, want.vector)
-
-
-def test_soft_update_in_place_equals_params_combine():
-    nets, svecs, avecs, targets = default_width_batch(43)
-    critic_update(nets, svecs, avecs, targets, 1e-3, scratch(nets.critic))
-    want = params_combine(0.01, nets.critic, 0.99, nets.target_critic)
-    soft_update(nets.target_critic, nets.critic, 0.01, scratch(nets.critic))
-    assert np.array_equal(nets.target_critic.vector, want.vector)
 
 
 # -- training loop -------------------------------------------------------------------

@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (backprop_reference, balanced_batch, make_params,
-                      params_allclose, params_equal, tiny_122_net)
-from vecafl.config import SimConfig
-from vecafl.ddpg import init_agent
+from conftest import (balanced_batch, make_params, params_allclose,
+                      params_equal, tiny_122_net)
 from vecafl.model import (LOSS_ROWS, LabeledBatch, ModelParams,
                           _step_plan, cross_entropy, evaluate, forward,
-                          forward_stack, gradient, init_params,
-                          input_gradient, load_params, param_gradient,
+                          forward_stack, gradient, init_params, load_params,
                           params_axpy, params_combine, params_copy,
                           params_from_bytes, params_mean, params_scale,
                           params_to_bytes, save_params, sgd_step,
@@ -436,33 +433,6 @@ def test_gradient_matches_plain_two_dimensional_backprop():
         assert np.array_equal(got.layer_weights[i], acts[i].T @ delta)
         assert np.array_equal(got.layer_biases[i], delta.sum(axis=0))
         delta = (delta @ w[i].T) * (acts[i] > 0.0)
-
-
-def agent_backprop_cases():
-    """(net, activations, output gradient) of the default-width actor and
-    critic at the default minibatch of 64 rows."""
-    cfg = SimConfig()
-    nets = init_agent(cfg, 9)
-    rng = substream(9, "agent-backprop")
-    for net in (nets.actor, nets.critic):
-        x = rng.uniform(0.0, 1.0, (cfg.replay_batch, net.architecture[0]))
-        _, acts = forward_stack(net, x)
-        yield net, acts, rng.normal(size=(cfg.replay_batch,
-                                          net.architecture[-1]))
-
-
-def test_param_gradient_matches_the_one_pass_backprop_bit_for_bit():
-    for net, acts, dlogits in agent_backprop_cases():
-        want, _ = backprop_reference(net, acts, dlogits)
-        out = np.full_like(net.vector, np.nan)
-        assert param_gradient(net, acts, dlogits, out) is out
-        assert np.array_equal(out, want.vector)
-
-
-def test_input_gradient_matches_the_one_pass_backprop_bit_for_bit():
-    for net, acts, dlogits in agent_backprop_cases():
-        _, want = backprop_reference(net, acts, dlogits)
-        assert np.array_equal(input_gradient(net, acts, dlogits), want)
 
 
 # -- evaluation ---------------------------------------------------------------
