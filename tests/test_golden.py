@@ -1,4 +1,4 @@
-"""Frozen reference outputs: per-slot results of four cells.
+"""Frozen reference outputs: per-slot results of five cells.
 
 A rerun of a cell only proves a run agrees with itself; a change that
 shifts results deterministically passes it.  This test compares against
@@ -10,6 +10,8 @@ freeze the sum and the sum of squares of each learned net:
 ``ddafl_train`` on 16x12 nets, and ``ddafl_train_wide`` at the default
 400x300 widths and minibatch of 64, whose agent products are large enough
 for OpenBLAS to split over threads; the package pins BLAS to one thread.
+Every cell also freezes its whole metrics rows (``<cell>_rows``): the
+slot-0 episode summaries and the columns the per-slot entries leave out.
 
 Regenerate (only when a change of results is intended and explained):
 
@@ -35,6 +37,8 @@ SEED = 5
 AGENT_SEED = 3          # initial actor deployed by the ddafl cell
 REL_TOL = 1e-9
 FIELDS = ("avg_loss", "accuracy", "accepted_count", "reward")
+ROW_FIELDS = ("episode", "slot", "avg_loss", "accuracy", "error_rate",
+              "reward", "attacked_fraction", "accepted_count", "mean_delay")
 CELLS = {  # cell -> (scheme, config overrides)
     "sync_fl": ("sync_fl", {}),
     "plain_afl": ("plain_afl", {}),
@@ -73,6 +77,11 @@ def cell_values(cell: str) -> list:
             for r in run_cell(cell).rows if r.slot > 0]
 
 
+def row_values(cell: str) -> list:
+    """Every metrics row in ``ROW_FIELDS`` order, summary rows included."""
+    return [[getattr(r, f) for f in ROW_FIELDS] for r in run_cell(cell).rows]
+
+
 def net_values(cell: str) -> dict:
     """[sum, sum of squares] of the parameters of each learned net."""
     out = {}
@@ -103,6 +112,18 @@ def test_per_slot_outputs_match_frozen_reference(cell):
         assert g[2] == w[2], f"slot {slot}: accepted_count {g[2]} != {w[2]}"
         for name, gv, wv in zip(FIELDS, g, w):
             assert _same(gv, wv), f"slot {slot}: {name} {gv!r} != {wv!r}"
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_metrics_rows_match_frozen_reference(cell):
+    want = _golden()[f"{cell}_rows"]
+    got = row_values(cell)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        for name, gv, wv in zip(ROW_FIELDS, g, w):
+            same = gv == wv if isinstance(wv, int) else _same(gv, wv)
+            assert same, f"row {i} (episode {g[0]}, slot {g[1]}): " \
+                         f"{name} {gv!r} != {wv!r}"
 
 
 def test_trained_nets_match_frozen_reference():
@@ -142,6 +163,9 @@ if __name__ == "__main__":
     blocks += [f' "{cell}_nets": ' + json.dumps(net_values(cell),
                                                  sort_keys=True)
                for cell in TRAINED]
+    blocks += [f' "{cell}_rows": [\n  '
+               + ",\n  ".join(json.dumps(row) for row in row_values(cell))
+               + "\n ]" for cell in sorted(CELLS)]
     GOLDEN.write_text("{\n" + ",\n".join(blocks) + "\n}\n",
                       encoding="utf-8")
     sys.exit(0)
