@@ -55,14 +55,12 @@ class LinkBudget:
 class ChannelState:
     """Per-vehicle fading state carried between slots.
 
-    gain        complex small-scale gain, unit second moment in steady state
-    rho         slot-to-slot correlation of the gain process
-    doppler_hz  signed Doppler shift along the vehicle-antenna bearing
+    gain  complex small-scale gain, unit second moment in steady state
+    rho   slot-to-slot correlation of the gain process
     """
 
     gain: complex
     rho: float
-    doppler_hz: float
 
 
 def advance_position(start_x: float, speed: float, slot_index: int,
@@ -166,14 +164,13 @@ def evolve_channel(state: ChannelState, innovation: complex) -> ChannelState:
 
     gain' = rho * gain + innovation * sqrt(1 - rho^2); unit innovation power
     keeps the gain's second moment at one for any |rho| <= 1.  The caller
-    refreshes rho and doppler from the new vehicle position before the next
-    step.
+    refreshes rho from the new vehicle position before the next step.
     """
     rho = state.rho
     if abs(rho) > 1.0:
         raise ValueError("correlation magnitude cannot exceed one")
     new_gain = rho * state.gain + innovation * math.sqrt(1.0 - rho * rho)
-    return ChannelState(gain=new_gain, rho=rho, doppler_hz=state.doppler_hz)
+    return ChannelState(gain=new_gain, rho=rho)
 
 
 def transmission_rate(link: LinkBudget, gain: complex,

@@ -20,7 +20,14 @@ import numpy as np
 from . import ddpg, harness
 from .config import ConfigError, SimConfig, load_config, validate_config
 
-ABLATIONS = ("ddafl_no_lt", "ddafl_no_ct", "ddafl_no_defense")
+LEARNED = tuple(s for s in harness.SCHEMES if s.startswith("ddafl"))
+# command -> (schemes it runs, default scheme, help)
+RUNS = {
+    "train": (LEARNED, "ddafl", "learn a policy and deploy it"),
+    "baseline": (harness.BASELINES, "", "plain_afl or sync_fl run"),
+    "ablation": (("ddafl_no_lt", "ddafl_no_ct", "ddafl_no_defense"), "",
+                 "single-component knockouts"),
+}
 
 
 def _default_seed() -> int:
@@ -50,12 +57,12 @@ def _finish(result: harness.ExperimentResult) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def cmd_run(args) -> int:
     cfg = _load(args)
-    scheme = args.scheme or "ddafl"
-    if not scheme.startswith("ddafl"):
-        raise ConfigError("train runs a learned scheme; use baseline for "
-                          f"{scheme}")
+    schemes, default, _ = RUNS[args.command]
+    scheme = args.scheme or default
+    if scheme not in schemes:
+        raise ConfigError(f"{args.command} scheme must be one of {schemes}")
     out = args.out or f"runs/{scheme}-s{args.seed}"
     return _finish(harness.run_experiment(scheme, cfg, args.seed, out))
 
@@ -65,9 +72,9 @@ def cmd_test(args) -> int:
     nets, manifest = ddpg.load_checkpoint(args.checkpoint, cfg)
     # checkpoints written before the manifest kept its scheme were ddafl's
     scheme = args.scheme or manifest.get("scheme") or "ddafl"
-    if not scheme.startswith("ddafl"):
-        raise ConfigError("test deploys a trained policy; pick a ddafl "
-                          "scheme")
+    if scheme not in LEARNED:
+        raise ConfigError(f"test deploys a trained policy; scheme must be "
+                          f"one of {LEARNED}")
     policy = ddpg.TrainResult(nets, np.zeros(0), [], [],
                               manifest["rng_digest"])
     out = args.out or f"runs/test-{scheme}-s{args.seed}"
@@ -75,23 +82,6 @@ def cmd_test(args) -> int:
                                     pretrained=policy)
     print(f"{scheme} deployment of {args.checkpoint}")
     return _finish(result)
-
-
-def cmd_baseline(args) -> int:
-    cfg = _load(args)
-    if args.scheme not in harness.BASELINES:
-        raise ConfigError(f"baseline scheme must be one of "
-                          f"{harness.BASELINES}")
-    out = args.out or f"runs/{args.scheme}-s{args.seed}"
-    return _finish(harness.run_experiment(args.scheme, cfg, args.seed, out))
-
-
-def cmd_ablation(args) -> int:
-    cfg = _load(args)
-    if args.scheme not in ABLATIONS:
-        raise ConfigError(f"ablation scheme must be one of {ABLATIONS}")
-    out = args.out or f"runs/{args.scheme}-s{args.seed}"
-    return _finish(harness.run_experiment(args.scheme, cfg, args.seed, out))
 
 
 def cmd_sweep(args) -> int:
@@ -125,22 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="", help="output directory")
         p.add_argument("--scheme", default="", help="scheme name")
 
-    p_train = sub.add_parser("train", help="learn a policy and deploy it")
-    common(p_train)
-    p_train.set_defaults(func=cmd_train)
+    for command, (_, _, text) in RUNS.items():
+        p_run = sub.add_parser(command, help=text)
+        common(p_run)
+        p_run.set_defaults(func=cmd_run)
 
     p_test = sub.add_parser("test", help="deploy an existing checkpoint")
     common(p_test)
     p_test.add_argument("--checkpoint", required=True)
     p_test.set_defaults(func=cmd_test)
-
-    p_base = sub.add_parser("baseline", help="plain_afl or sync_fl run")
-    common(p_base)
-    p_base.set_defaults(func=cmd_baseline)
-
-    p_abl = sub.add_parser("ablation", help="single-component knockouts")
-    common(p_abl)
-    p_abl.set_defaults(func=cmd_ablation)
 
     p_sweep = sub.add_parser("sweep", help="attacked-fraction sweep")
     common(p_sweep)

@@ -19,10 +19,8 @@ ATTACK_KINDS = ("none", "class_flip", "data_flip")
 class DataShard:
     """A participant's local dataset plus its tampering annotations."""
 
-    owner: int                    # vehicle id, or -1 for the roadside unit
     batch: LabeledBatch
     attack: str = "none"
-    bad_node: bool = False
     attacked: LabeledBatch = field(default=None, repr=False)
 
     def training_view(self) -> LabeledBatch:
@@ -39,7 +37,7 @@ def _check_batch(batch: LabeledBatch) -> None:
         raise ValueError("inputs must be a 2-d array")
     if batch.inputs.shape[0] != batch.labels.shape[0]:
         raise ValueError("inputs and labels disagree in length")
-    if batch.inputs.min(initial=0.0) < 0.0 or batch.inputs.max(initial=0.0) > 1.0:
+    if not ((batch.inputs >= 0.0) & (batch.inputs <= 1.0)).all():  # NaN too
         raise ValueError("features must lie in [0, 1]")
     if batch.labels.min(initial=0) < 0 or batch.labels.max(initial=0) >= NUM_CLASSES:
         raise ValueError(f"labels must lie in 0..{NUM_CLASSES - 1}")
@@ -64,12 +62,19 @@ def synthetic_blobs(n: int, dim: int, rng: np.random.Generator,
 
 
 def load_csv(path) -> LabeledBatch:
-    """Rows of ``label, f1, ..., fd`` with features already in [0, 1]."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    if raw.shape[1] < 2:
-        raise ValueError("need a label column plus at least one feature")
-    batch = LabeledBatch(raw[:, 1:].astype(float), raw[:, 0].astype(int))
-    _check_batch(batch)
+    """Rows of ``label, f1, ..., fd``: integer labels in 0..9 and features
+    already in [0, 1].  Every ValueError names the file."""
+    try:
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        if raw.shape[1] < 2:
+            raise ValueError("need a label column plus at least one feature")
+        if not np.isin(raw[:, 0], np.arange(NUM_CLASSES)).all():
+            raise ValueError(f"labels must be integers in "
+                             f"0..{NUM_CLASSES - 1}")
+        batch = LabeledBatch(raw[:, 1:].astype(float), raw[:, 0].astype(int))
+        _check_batch(batch)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return batch
 
 

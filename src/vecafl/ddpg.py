@@ -232,7 +232,7 @@ class TrainingDiverged(ValueError):
 class TrainResult:
     nets: AgentNets
     episode_rewards: np.ndarray
-    records: list                 # engine.PhaseRecord per slot
+    records: list                 # engine.SlotResult per slot
     digests: list
     rng_digest: str
 
@@ -267,10 +267,10 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
                           + noise.sample(noise_rng), cfg.action_floor, 1.0)
         return weights, binarize_action(weights)
 
-    def observe(world: World, weights: np.ndarray, res, reward: float):
+    def observe(world: World, weights: np.ndarray, res):
         nonlocal svec
         next_svec = state_vector(build_state(world, weights), cfg)
-        replay.push(svec, weights, reward, next_svec)
+        replay.push(svec, weights, res.reward, next_svec)
         svec = next_svec
         if len(replay) > cfg.replay_batch:
             svecs, avecs, rews, nvecs = replay.sample(sample_rng,
@@ -314,20 +314,6 @@ def greedy_select(actor: ModelParams, cfg: SimConfig):
         weights = np.clip(actor_forward(actor, svec), cfg.action_floor, 1.0)
         return weights, binarize_action(weights)
     return select
-
-
-def test_policy(actor: ModelParams, cfg: SimConfig, dataset, seed: int, *,
-                defense_on: bool = True, lt_weight_on: bool = True,
-                ct_weight_on: bool = True, attacked_ids=()):
-    """Deploy a trained actor for ``cfg.test_episodes`` episodes.
-
-    No noise, no learning; the upload filter and any ``cfg.attack``
-    tampering are active here rather than during training.
-    """
-    return run_phase(cfg, dataset, seed, "test", cfg.test_episodes,
-                     greedy_select(actor, cfg), defense_on=defense_on,
-                     lt_weight_on=lt_weight_on, ct_weight_on=ct_weight_on,
-                     attacked_ids=attacked_ids)
 
 
 # ---------------------------------------------------------------------------

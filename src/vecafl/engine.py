@@ -39,20 +39,33 @@ class GlobalModel:
 
 @dataclass
 class SlotResult:
-    """Everything one aggregation round produced, for metrics and audits."""
+    """One slot's record, from the aggregation round to ``metrics.csv``.
+
+    The round fills in what it produced, for metrics and audits;
+    ``run_phase`` then sets the episode, slot, reward, accuracy and error
+    rate once the slot is scored and the global model evaluated.
+    """
 
     avg_loss: float
+    mean_delay: float
     reported: dict                 # vid -> loss the vehicle announced
     delays: dict                   # vid -> (t_local, t_upload)
     accepted_ids: list
-    rejected_ids: list
     skipped_ids: list              # zero uplink rate, never arrived
-    trusted_loss: float            # None when no trusted model is kept
-    mean_delay: float
-    filter_calls: int
+    reject_reasons: dict           # vid -> why rejected
+    trusted_loss: float = None     # None when no trusted model is kept
+    filter_calls: int = 0
     accept_audit: list = field(default_factory=list)  # (vid, loss, limit)
     stale_weights: dict = field(default_factory=dict)  # vid -> (w_lt, w_ct)
-    reject_reasons: dict = field(default_factory=dict)  # vid -> why rejected
+    episode: int = 0
+    slot: int = 0
+    reward: float = math.nan
+    accuracy: float = math.nan
+    error_rate: float = math.nan
+
+    @property
+    def rejected_ids(self) -> list:
+        return list(self.reject_reasons)
 
 
 NONFINITE = "nonfinite"     # a NaN or inf announced loss or parameter
@@ -62,16 +75,6 @@ LOSS_LIMIT = "loss_limit"   # announced loss above the filter's limit
 def finite_upload(params: ModelParams, loss: float) -> bool:
     """True when the announced loss and every parameter are finite."""
     return math.isfinite(loss) and bool(np.isfinite(params.vector).all())
-
-
-def _slot_means(reported: dict, delays: dict, pool, arrived):
-    """Mean announced loss over ``pool`` and mean delay over ``arrived``;
-    nan when empty."""
-    avg_loss = float(np.mean([reported[v] for v in pool])) if pool \
-        else math.nan
-    mean_delay = float(np.mean([delays[v][0] + delays[v][1]
-                                for v in arrived])) if arrived else math.nan
-    return avg_loss, mean_delay
 
 
 def local_delay(data_count: int, cycles_per_sample: float,
@@ -179,6 +182,34 @@ def _local_updates(world: World, vids, snapshot: ModelParams,
     return updates, delays, skipped, trusted_loss
 
 
+def _finite_only(uploads, reasons: dict) -> list:
+    """The uploads ``(vid, params, loss, ...)`` whose announced loss and
+    parameters are all finite; each other one is rejected in ``reasons``."""
+    kept = []
+    for upload in uploads:
+        if finite_upload(upload[1], upload[2]):
+            kept.append(upload)
+        else:
+            reasons[upload[0]] = NONFINITE
+    return kept
+
+
+def _slot_result(updates, delays, skipped, accepted, reasons,
+                 loss_pool=None, **audit) -> SlotResult:
+    """The round's record.  The mean announced loss is taken over
+    ``loss_pool`` (every finite upload when None) and the mean delay over
+    the finite uploads; either is nan when its pool is empty."""
+    reported = {vid: loss for vid, _, loss, _, _ in updates}
+    finite = [v for v in sorted(reported) if reasons.get(v) != NONFINITE]
+    pool = finite if loss_pool is None else loss_pool
+    avg_loss = float(np.mean([reported[v] for v in pool])) if pool \
+        else math.nan
+    mean_delay = float(np.mean([delays[v][0] + delays[v][1]
+                                for v in finite])) if finite else math.nan
+    return SlotResult(avg_loss, mean_delay, reported, delays, accepted,
+                      skipped, reasons, **audit)
+
+
 def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
                  trusted_model: GlobalModel, cfg: SimConfig, *,
                  defense_on: bool, lt_weight_on: bool = True,
@@ -201,23 +232,20 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
     updates, delays, skipped, trusted_loss = _local_updates(
         world, sorted(int(v) for v in selected_ids), global_model.params,
         cfg, trusted_model)
-    reported = {vid: loss for vid, _, loss, _, _ in updates}
-    uploads, stale = [], {}  # uploads: (arrival time, vid, weighted, loss)
+    uploads, stale = [], {}  # uploads: (vid, weighted, loss, arrival time)
     for vid, params, loss, t_l, t_u in updates:
         w_lt = staleness_weight(cfg.stale_base_local, t_l) \
             if lt_weight_on else 1.0
         w_ct = staleness_weight(cfg.stale_base_upload, t_u) \
             if ct_weight_on else 1.0
         stale[vid] = (w_lt, w_ct)
-        uploads.append((t_l + t_u, vid, weighted_upload(params, w_lt, w_ct),
-                        loss))
+        uploads.append((vid, weighted_upload(params, w_lt, w_ct), loss,
+                        t_l + t_u))
+    uploads.sort(key=lambda u: (u[3], u[0]))
 
     accepted, audit, reasons = [], [], {}
     filter_calls = 0
-    for _, vid, weighted, loss in sorted(uploads, key=lambda u: u[:2]):
-        if not finite_upload(weighted, loss):
-            reasons[vid] = NONFINITE
-            continue
+    for vid, weighted, loss, _ in _finite_only(uploads, reasons):
         if defense_on:
             filter_calls += 1
             if not threshold_accept(loss, trusted_loss,
@@ -232,14 +260,10 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
             audit.append((vid, loss, limit))
         global_update(global_model, weighted, cfg.agg_mix)
         accepted.append(vid)
-
-    finite = [v for v in sorted(reported) if reasons.get(v) != NONFINITE]
-    avg_loss, mean_delay = _slot_means(
-        reported, delays,
-        accepted if cfg.loss_avg_accepted_only else finite, finite)
-    return SlotResult(avg_loss, reported, delays, accepted, list(reasons),
-                      skipped, trusted_loss, mean_delay, filter_calls, audit,
-                      stale, reject_reasons=reasons)
+    return _slot_result(updates, delays, skipped, accepted, reasons,
+                        accepted if cfg.loss_avg_accepted_only else None,
+                        trusted_loss=trusted_loss, filter_calls=filter_calls,
+                        accept_audit=audit, stale_weights=stale)
 
 
 def sync_round(world: World, global_model: GlobalModel,
@@ -252,18 +276,13 @@ def sync_round(world: World, global_model: GlobalModel,
     """
     updates, delays, skipped, _ = _local_updates(
         world, [veh.vid for veh in world.vehicles], global_model.params, cfg)
-    reported = {vid: loss for vid, _, loss, _, _ in updates}
-    reasons = {vid: NONFINITE for vid, params, loss, _, _ in updates
-               if not finite_upload(params, loss)}
-    models = [params for vid, params, _, _, _ in updates
-              if vid not in reasons]
-    if models:
-        global_model.params = params_mean(models)
-        global_model.update_count += len(models)
-    folded = [v for v in sorted(reported) if v not in reasons]
-    avg_loss, mean_delay = _slot_means(reported, delays, folded, folded)
-    return SlotResult(avg_loss, reported, delays, folded, sorted(reasons),
-                      skipped, None, mean_delay, 0, reject_reasons=reasons)
+    reasons = {}
+    folded = _finite_only(updates, reasons)
+    if folded:
+        global_model.params = params_mean([u[1] for u in folded])
+        global_model.update_count += len(folded)
+    return _slot_result(updates, delays, skipped, [u[0] for u in folded],
+                        reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -290,26 +309,11 @@ def compute_reward(weights: np.ndarray, avg_loss: float, mean_delay: float,
 
 
 @dataclass
-class PhaseRecord:
-    episode: int
-    slot: int
-    avg_loss: float
-    accuracy: float
-    error_rate: float
-    reward: float
-    accepted_count: int
-    mean_delay: float
-    attacked_fraction: float
-
-
-@dataclass
 class PhaseResult:
-    records: list
+    records: list                 # one SlotResult per slot, in order
     admissions: np.ndarray        # per-vehicle count of admitted slots
-    total_slots: int
     global_model: GlobalModel
     digests: list                 # one realisation digest per episode
-    slot_results: list
 
 
 def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
@@ -326,14 +330,13 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
     redrawn every episode from ``substream(seed, "global-init", phase,
     episode)``.  Each slot: ``select_fn(world, prev_action) -> (weights,
     mask)`` picks the uploaders, the round runs, ``compute_reward`` scores
-    it, the world advances, ``observe(world, weights, slot_result,
-    reward)`` sees the advanced world, and the global model is evaluated
-    on the fixed ``world.eval_batch`` for the slot's record.
+    it, the world advances, ``observe(world, weights, slot_result)`` sees
+    the advanced world, and the global model is evaluated on the fixed
+    ``world.eval_batch`` to complete the slot's record.
     """
     k = cfg.vehicle_count
-    records, digests, slot_results = [], [], []
+    records, digests = [], []
     admissions = np.zeros(k)
-    frac = len(attacked_ids) / k
     global_model = None
     for episode in range(1, episodes + 1):
         world = World(cfg, dataset, seed, phase, episode)
@@ -357,19 +360,16 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
                                    defense_on=defense_on,
                                    lt_weight_on=lt_weight_on,
                                    ct_weight_on=ct_weight_on)
-            reward = compute_reward(weights, res.avg_loss, res.mean_delay,
-                                    cfg)
+            res.episode, res.slot = episode, slot
+            res.reward = compute_reward(weights, res.avg_loss,
+                                        res.mean_delay, cfg)
             world.advance()
             if observe is not None:
-                observe(world, weights, res, reward)
-            acc, err = evaluate(global_model.params, world.eval_batch)
-            records.append(PhaseRecord(episode, slot, res.avg_loss, acc, err,
-                                       reward, len(res.accepted_ids),
-                                       res.mean_delay, frac))
-            slot_results.append(res)
+                observe(world, weights, res)
+            res.accuracy, res.error_rate = evaluate(global_model.params,
+                                                    world.eval_batch)
+            records.append(res)
             admissions += mask
             prev_action = weights
         digests.append(world.digest())
-    return PhaseResult(records, admissions,
-                       episodes * cfg.slots_per_episode, global_model,
-                       digests, slot_results)
+    return PhaseResult(records, admissions, global_model, digests)

@@ -48,11 +48,10 @@ class ExperimentResult:
     rows: list
     train_rewards: np.ndarray     # empty for baselines
     admissions: np.ndarray        # test-phase admitted slots per vehicle
-    total_test_slots: int
     test_digests: list
     nets: object                  # AgentNets or None
     attacked_ids: tuple
-    test_slot_results: list
+    test_slot_results: list       # engine.SlotResult per deployment slot
     out_dir: str
 
 
@@ -88,7 +87,8 @@ def parse_metrics(path):
     return out
 
 
-def _phase_rows(records, run_id: str, scheme: str, cfg_hash: str) -> list:
+def _phase_rows(records, run_id: str, scheme: str, cfg_hash: str,
+                attacked_fraction: float = 0.0) -> list:
     """Per-slot rows plus one slot-0 summary row per episode."""
     rows = []
     by_episode = {}
@@ -100,15 +100,15 @@ def _phase_rows(records, run_id: str, scheme: str, cfg_hash: str) -> list:
             run_id, scheme, episode, 0,
             float(np.mean([r.avg_loss for r in recs])),
             recs[-1].accuracy, recs[-1].error_rate,
-            float(np.sum([r.reward for r in recs])),
-            recs[-1].attacked_fraction,
-            int(np.sum([r.accepted_count for r in recs])),
+            float(np.sum([r.reward for r in recs])), attacked_fraction,
+            int(np.sum([len(r.accepted_ids) for r in recs])),
             float(np.mean([r.mean_delay for r in recs])), cfg_hash))
         for r in recs:
             rows.append(MetricsRow(run_id, scheme, r.episode, r.slot,
                                    r.avg_loss, r.accuracy, r.error_rate,
-                                   r.reward, r.attacked_fraction,
-                                   r.accepted_count, r.mean_delay, cfg_hash))
+                                   r.reward, attacked_fraction,
+                                   len(r.accepted_ids), r.mean_delay,
+                                   cfg_hash))
     return rows
 
 
@@ -155,6 +155,21 @@ def _select_everyone(k: int):
     return select
 
 
+def _deploy(scheme: str, cfg: SimConfig, dataset, seed: int, select,
+            attacked_ids, run_id: str):
+    """The deployment phase of ``scheme``: ``cfg.test_episodes`` episodes
+    with ``cfg.attack`` on ``attacked_ids``.  Returns the phase and its
+    metrics rows."""
+    flags = _scheme_flags(scheme)
+    phase = run_phase(cfg, dataset, seed, "test", cfg.test_episodes, select,
+                      aggregator="sync" if flags["sync"] else "afl",
+                      defense_on=flags["defense"], lt_weight_on=flags["lt"],
+                      ct_weight_on=flags["ct"], attacked_ids=attacked_ids)
+    return phase, _phase_rows(phase.records, run_id, scheme,
+                              config_hash(cfg),
+                              len(attacked_ids) / cfg.vehicle_count)
+
+
 def run_experiment(scheme: str, cfg: SimConfig, seed: int,
                    out_dir: str = None,
                    pretrained: "ddpg.TrainResult" = None) -> ExperimentResult:
@@ -182,12 +197,9 @@ def run_experiment(scheme: str, cfg: SimConfig, seed: int,
         select = ddpg.greedy_select(nets.actor, cfg)
     attacked = resolve_attacked_ids(cfg, nets.actor if nets else None,
                                     dataset, seed)
-    phase = run_phase(cfg, dataset, seed, "test", cfg.test_episodes, select,
-                      aggregator="sync" if flags["sync"] else "afl",
-                      defense_on=flags["defense"], lt_weight_on=flags["lt"],
-                      ct_weight_on=flags["ct"], attacked_ids=attacked)
-    rows += _phase_rows(phase.records, f"{scheme}-s{seed}-test", scheme,
-                        cfg_hash)
+    phase, test_rows = _deploy(scheme, cfg, dataset, seed, select, attacked,
+                               f"{scheme}-s{seed}-test")
+    rows += test_rows
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -200,9 +212,8 @@ def run_experiment(scheme: str, cfg: SimConfig, seed: int,
                                  scheme=scheme)
 
     return ExperimentResult(scheme, seed, cfg_hash, rows, train_rewards,
-                            phase.admissions, phase.total_slots,
-                            phase.digests, nets, attacked,
-                            phase.slot_results, out_dir or "")
+                            phase.admissions, phase.digests, nets, attacked,
+                            phase.records, out_dir or "")
 
 
 @dataclass
@@ -230,6 +241,7 @@ def attack_sweep(cfg: SimConfig, seed: int, fractions, attack_kind: str,
     dataset = build_dataset(base, seed)
     train_res = ddpg.train(base, dataset, seed)
     actor = train_res.nets.actor
+    select = ddpg.greedy_select(actor, cfg)
     k = cfg.vehicle_count
 
     cells, rows = [], []
@@ -240,13 +252,10 @@ def attack_sweep(cfg: SimConfig, seed: int, fractions, attack_kind: str,
         kind = attack_kind if ids else "none"
         for scheme in ("ddafl", "ddafl_no_defense"):
             cell_cfg = replace(cfg, attack=kind, attacked_vehicles=ids)
-            phase = ddpg.test_policy(actor, cell_cfg, dataset, seed,
-                                     defense_on=scheme == "ddafl",
-                                     attacked_ids=ids)
-            run_id = (f"sweep-{attack_kind}-f{fraction:g}-{scheme}"
-                      f"-s{seed}")
-            rows += _phase_rows(phase.records, run_id, scheme,
-                                config_hash(cell_cfg))
+            phase, cell_rows = _deploy(
+                scheme, cell_cfg, dataset, seed, select, ids,
+                f"sweep-{attack_kind}-f{fraction:g}-{scheme}-s{seed}")
+            rows += cell_rows
             final = phase.records[-1]
             cells.append(SweepCell(float(fraction), scheme, ids,
                                    final.error_rate, final.accuracy,

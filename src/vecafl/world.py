@@ -39,7 +39,12 @@ class VehicleSim:
 def build_dataset(cfg: SimConfig, seed: int) -> LabeledBatch:
     """The run's dataset: a CSV if configured, else seeded synthetic blobs."""
     if cfg.dataset_path:
-        return load_csv(cfg.dataset_path)
+        batch = load_csv(cfg.dataset_path)
+        width = batch.inputs.shape[1]
+        if width != cfg.feature_dim:
+            raise ValueError(f"{cfg.dataset_path}: {width} features per row, "
+                             f"but feature_dim is {cfg.feature_dim}")
+        return batch
     return synthetic_blobs(cfg.dataset_size, cfg.feature_dim,
                            substream(seed, "data"), cfg.blob_spread)
 
@@ -116,14 +121,13 @@ class World:
         computes = self._draw_computes()
         self.vehicles = []
         for vid in range(cfg.vehicle_count):
-            bad = vid == cfg.bad_vehicle
             x = float(starts[vid])
-            state = ChannelState(
-                gain=complex_gaussian(self._channel_rngs[vid]),
-                rho=self._rho_at(x), doppler_hz=self._doppler_at(x))
-            shard = DataShard(owner=vid, batch=shards[vid], bad_node=bad)
+            state = ChannelState(complex_gaussian(self._channel_rngs[vid]),
+                                 self._rho_at(x))
             self.vehicles.append(VehicleSim(vid, x, x, state,
-                                            float(computes[vid]), shard, bad))
+                                            float(computes[vid]),
+                                            DataShard(shards[vid]),
+                                            vid == cfg.bad_vehicle))
             self._hash.update(shards[vid].labels.tobytes())
         self._hash.update(rsu_batch.labels.tobytes())
         self._hash.update(self.eval_batch.labels.tobytes())
@@ -162,13 +166,13 @@ class World:
     def _vehicle_position(self, x: float) -> Position3:
         return Position3(x, self.cfg.lane_offset_m, 0.0)
 
-    def _doppler_at(self, x: float) -> float:
-        cos_theta = cos_bearing_angle(self._vehicle_position(x), self.antenna)
-        return doppler_freq(self.cfg.speed_mps, self.cfg.wavelength_m,
-                            cos_theta)
-
     def _rho_at(self, x: float) -> float:
-        return channel_correlation(self._doppler_at(x), self.cfg.slot_seconds)
+        """Slot-to-slot fading correlation at ``x``, from the Doppler shift
+        along the bearing to the antenna."""
+        cos_theta = cos_bearing_angle(self._vehicle_position(x), self.antenna)
+        doppler = doppler_freq(self.cfg.speed_mps, self.cfg.wavelength_m,
+                               cos_theta)
+        return channel_correlation(doppler, self.cfg.slot_seconds)
 
     def advance(self) -> None:
         """Move one slot: positions, fading and CPU draws all refresh."""
@@ -176,11 +180,9 @@ class World:
         for veh in self.vehicles:
             veh.x = advance_position(veh.start_x, self.cfg.speed_mps,
                                      self.slot, self.cfg.slot_seconds)
-            doppler = self._doppler_at(veh.x)
-            rho = channel_correlation(doppler, self.cfg.slot_seconds)
-            veh.channel = ChannelState(veh.channel.gain, rho, doppler)
             veh.channel = evolve_channel(
-                veh.channel, complex_gaussian(self._channel_rngs[veh.vid]))
+                ChannelState(veh.channel.gain, self._rho_at(veh.x)),
+                complex_gaussian(self._channel_rngs[veh.vid]))
         computes = self._draw_computes()
         for veh, mu in zip(self.vehicles, computes):
             veh.compute_hz = float(mu)

@@ -78,26 +78,25 @@ def sweep():
                   bad_vehicle=-1, loss_avg_accepted_only=True)
     t0 = time.monotonic()
     cells, rows, train_res = attack_sweep(cfg, 42, (0.0, 0.4), "class_flip")
-    dataset = build_dataset(cfg, 42)
     return SimpleNamespace(cfg=cfg, cells=cells, rows=rows,
-                           train_res=train_res, dataset=dataset,
+                           train_res=train_res,
                            elapsed=time.monotonic() - t0)
 
 
 @pytest.fixture(scope="module")
 def flip_pair(sweep):
-    """Input-tampering twin of the sweep's 0.4 cell, defended and not."""
+    """Input-tampering twin of the sweep's 0.4 cell, defended and not:
+    the deployment slots of each."""
     ids = sweep.cells[2].attacked_ids
     cfg = replace(sweep.cfg, attack="data_flip", attacked_vehicles=ids)
-    actor = sweep.train_res.nets.actor
     t0 = time.monotonic()
-    phases = {
-        on: ddpg.test_policy(actor, cfg, sweep.dataset, 42, defense_on=on,
-                             attacked_ids=ids)
-        for on in (True, False)
-    }
-    return SimpleNamespace(ids=ids, defended=phases[True],
-                           undefended=phases[False],
+    slots = {}
+    for scheme in ("ddafl", "ddafl_no_defense"):
+        run = run_experiment(scheme, cfg, 42, pretrained=sweep.train_res)
+        assert run.attacked_ids == ids
+        slots[scheme] = run.test_slot_results
+    return SimpleNamespace(ids=ids, defended=slots["ddafl"],
+                           undefended=slots["ddafl_no_defense"],
                            elapsed=time.monotonic() - t0)
 
 
@@ -175,7 +174,7 @@ def _kernel_oracle_errors():
         track("correlation", _mp_rel(channel_correlation(fd, cd), corr_o))
 
         rho = rng.uniform(-0.99, 0.99)
-        state = ChannelState(complex_gaussian(rng), rho, 0.0)
+        state = ChannelState(complex_gaussian(rng), rho)
         inn = complex_gaussian(rng)
         new_gain = evolve_channel(state, inn).gain
         gain_o = (mpf(rho) * mpc(state.gain.real, state.gain.imag)
@@ -274,7 +273,7 @@ def test_criterion2_fading_statistics():
     steps = 100_000
     fails, summary = [], []
     for rho in (0.9, 0.5, 0.2, -0.3):
-        state = ChannelState(complex_gaussian(rng), rho, 0.0)
+        state = ChannelState(complex_gaussian(rng), rho)
         gains = np.empty(steps + 1, dtype=complex)
         gains[0] = state.gain
         for t in range(1, steps + 1):
@@ -392,7 +391,7 @@ def test_criterion5_beats_baselines(trained, deployed):
     finals = {name: run.test_slot_results[-1].avg_loss
               for name, run in deployed.runs.items()}
     ddafl = deployed.runs["ddafl"]
-    rates = ddafl.admissions / ddafl.total_test_slots
+    rates = ddafl.admissions / len(ddafl.test_slot_results)
     bad = trained.cfg.bad_vehicle
     normal = np.delete(rates, bad)
     elapsed = trained.elapsed + deployed.elapsed
@@ -482,11 +481,10 @@ def test_criterion7_defense_end_to_end(sweep, flip_pair):
                      f"{hit_off.final_accuracy:.3f}, var {var_def:.2e} vs "
                      f"{var_off:.2e}")
 
-    acc_def = flip_pair.defended.records[-1].accuracy
-    acc_off = flip_pair.undefended.records[-1].accuracy
-    fvar_def = _last_half_var([r.avg_loss for r in flip_pair.defended.records])
-    fvar_off = _last_half_var([r.avg_loss
-                               for r in flip_pair.undefended.records])
+    acc_def = flip_pair.defended[-1].accuracy
+    acc_off = flip_pair.undefended[-1].accuracy
+    fvar_def = _last_half_var([r.avg_loss for r in flip_pair.defended])
+    fvar_off = _last_half_var([r.avg_loss for r in flip_pair.undefended])
     if not (acc_def >= acc_off and fvar_def < fvar_off):
         fails.append(f"input tampering: acc {acc_def:.3f} vs {acc_off:.3f}, "
                      f"var {fvar_def:.2e} vs {fvar_off:.2e}")
@@ -508,8 +506,7 @@ def test_criterion7_defense_end_to_end(sweep, flip_pair):
 
 def test_criterion8_filter_soundness(deployed, flip_pair):
     audited, violations, structural = 0, 0, []
-    sources = (deployed.runs["ddafl"].test_slot_results
-               + flip_pair.defended.slot_results)
+    sources = deployed.runs["ddafl"].test_slot_results + flip_pair.defended
     for res in sources:
         if not set(res.accepted_ids) <= set(res.reported):
             structural.append("accepted an upload that never arrived")

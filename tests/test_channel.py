@@ -22,7 +22,7 @@ RSU = Position3(0.0, 0.0, 10.0)
 
 def stationary_state(rho, rng):
     """A fading state whose gain is drawn from the stationary law."""
-    return ChannelState(gain=complex_gaussian(rng), rho=rho, doppler_hz=0.0)
+    return ChannelState(gain=complex_gaussian(rng), rho=rho)
 
 
 # -- kinematics --------------------------------------------------------------

@@ -98,11 +98,37 @@ def test_diverging_training_exits_2_naming_the_rates(cfg_file, tmp_path,
     assert "critic_lr" in err and "actor_lr" in err
 
 
-def test_bad_baseline_scheme_exits_2(cfg_file, capsys):
-    code = main(["baseline", "--scheme", "ddafl", "--config", cfg_file,
+# command -> (a scheme it refuses, a scheme it accepts)
+REFUSED = {"train": ("plain_afl", "ddafl_no_ct"),
+           "baseline": ("ddafl", "sync_fl"),
+           "ablation": ("ddafl", "ddafl_no_defense")}
+
+
+@pytest.mark.parametrize("command", sorted(REFUSED))
+def test_bad_scheme_exits_2_naming_the_accepted_ones(cfg_file, capsys,
+                                                     command):
+    refused, accepted = REFUSED[command]
+    code = main([command, "--scheme", refused, "--config", cfg_file,
                  "--seed", "1"])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {command} scheme must be one of (" in err
+    assert repr(accepted) in err
+
+
+def test_csv_of_the_wrong_width_exits_2_naming_the_file(cfg_file, tmp_path,
+                                                        capsys):
+    data = tmp_path / "wide.csv"
+    data.write_text("".join(f"{i % 10}," + ",".join(["0.5"] * 10) + "\n"
+                            for i in range(20)))
+    save_config(replace(load_config(cfg_file), dataset_path=str(data)),
+                tmp_path / "csv.cfg")
+    code = main(["baseline", "--scheme", "plain_afl", "--config",
+                 str(tmp_path / "csv.cfg"), "--seed", "1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{data}: 10 features per row, but feature_dim is 6" \
+        in capsys.readouterr().err
 
 
 def test_bad_sweep_fraction_exits_2(cfg_file, capsys):

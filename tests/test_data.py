@@ -1,5 +1,7 @@
 """Dataset synthesis, sharding and tampering unit tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ def test_attacks_reject_malformed_batches():
 
 def test_shard_training_view_caches_tampered_copy():
     batch = synthetic_blobs(30, 4, substream(15, "data"))
-    shard = DataShard(owner=0, batch=batch)
+    shard = DataShard(batch=batch)
     assert shard.training_view() is batch
     shard.attack = "class_flip"
     view = shard.training_view()
@@ -175,6 +177,21 @@ def test_load_csv_rejects_label_only(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1\n2\n")
     with pytest.raises(ValueError):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("row,why", [
+    ("0,nan,0.5", "features must lie in"),
+    ("0,0.5,inf", "features must lie in"),
+    ("2.7,0.1,0.5", "labels must be integers"),
+    ("nan,0.1,0.5", "labels must be integers"),
+    ("10,0.1,0.5", "labels must be integers"),
+    ("3,0.1,oops", "could not convert"),
+])
+def test_load_csv_rejects_bad_values_naming_the_file(tmp_path, row, why):
+    path = tmp_path / "bad.csv"
+    path.write_text("3,0.1,0.9\n" + row + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {why}"):
         load_csv(path)
 
 

@@ -17,6 +17,7 @@ from vecafl.ddpg import (AgentNets, OUNoise, ReplayBuffer, SystemState,
                          build_state, critic_forward, critic_targets,
                          critic_update, init_agent, soft_update, state_vector)
 from vecafl.engine import compute_reward
+from vecafl.harness import run_experiment
 from vecafl.model import (ModelParams, forward_stack, init_params,
                           params_copy, params_to_bytes)
 from vecafl.rng import substream
@@ -464,14 +465,14 @@ def test_train_raises_when_an_update_diverges(critic_lr, actor_lr, where):
     assert issubclass(ddpg.TrainingDiverged, ValueError)
 
 
-def test_test_policy_leaves_actor_untouched():
+def test_deployment_leaves_actor_untouched():
     cfg = agent_cfg()
-    ds = build_dataset(cfg, 32)
-    out = ddpg.train(cfg, ds, 32)
+    out = ddpg.train(cfg, build_dataset(cfg, 32), 32)
     before = params_to_bytes(out.nets.actor)
-    phase = ddpg.test_policy(out.nets.actor, cfg, ds, 32, defense_on=False)
+    res = run_experiment("ddafl_no_defense", cfg, 32, pretrained=out)
     assert params_to_bytes(out.nets.actor) == before
-    assert len(phase.records) == cfg.test_episodes * cfg.slots_per_episode
+    assert len(res.test_slot_results) \
+        == cfg.test_episodes * cfg.slots_per_episode
 
 
 # -- checkpointing -------------------------------------------------------------------

@@ -495,14 +495,14 @@ def test_sync_round_counts_and_average():
     phase = run_phase(cfg, ds, 59, "test", 1, select_all(3),
                       aggregator="sync", defense_on=False,
                       lt_weight_on=False, ct_weight_on=False)
-    for sr in phase.slot_results:
+    for sr in phase.records:
         arrived = sorted(sr.reported)
         assert sr.accepted_ids == arrived
         assert sr.rejected_ids == []
         assert sr.avg_loss == pytest.approx(
             np.mean([sr.reported[v] for v in arrived]), abs=1e-12)
     assert phase.global_model.update_count \
-        == sum(len(sr.accepted_ids) for sr in phase.slot_results)
+        == sum(len(sr.accepted_ids) for sr in phase.records)
 
 
 # -- phase determinism and pairing ---------------------------------------------------
@@ -538,12 +538,14 @@ def test_phase_records_shape_and_bounds():
     phase = run_phase(cfg, ds, 62, "test", 2, select_all(3),
                       defense_on=False, lt_weight_on=True, ct_weight_on=True)
     assert len(phase.records) == 2 * cfg.slots_per_episode
-    assert phase.total_slots == 2 * cfg.slots_per_episode
-    for rec, res in zip(phase.records, phase.slot_results):
+    for rec in phase.records:
         assert rec.accuracy + rec.error_rate == pytest.approx(1.0, abs=1e-12)
-        assert rec.reward == compute_reward(np.ones(3), res.avg_loss,
-                                            res.mean_delay, cfg)
-    assert phase.admissions.sum() == 3 * phase.total_slots
+        assert rec.reward == compute_reward(np.ones(3), rec.avg_loss,
+                                            rec.mean_delay, cfg)
+    slots = range(1, cfg.slots_per_episode + 1)
+    assert [(r.episode, r.slot) for r in phase.records] \
+        == [(e, s) for e in (1, 2) for s in slots]
+    assert phase.admissions.sum() == 3 * len(phase.records)
 
 
 # -- the slot loop's contract ------------------------------------------------------
@@ -560,8 +562,8 @@ def test_observe_runs_once_per_slot_after_advance_before_evaluate(
         events.append("evaluate")
         return real_evaluate(params, batch)
 
-    def observe(world, weights, res, reward):
-        events.append(("observe", world.slot, reward))
+    def observe(world, weights, res):
+        events.append(("observe", world.slot, res.reward))
 
     monkeypatch.setattr(engine, "evaluate", spy_evaluate)
     phase = run_phase(cfg, ds, 63, "test", 2, select_all(3), observe)

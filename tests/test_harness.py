@@ -10,7 +10,7 @@ import pytest
 
 from vecafl import ddpg
 from vecafl.config import SimConfig, config_hash, validate_config
-from vecafl.engine import PhaseRecord
+from vecafl.engine import SlotResult
 from vecafl.harness import (SCHEMES, MetricsRow, _phase_rows, _scheme_flags,
                             attack_sweep, emit_metrics, parse_metrics,
                             resolve_attacked_ids, run_experiment)
@@ -84,12 +84,19 @@ def test_parse_back_reproduces_values(tmp_path):
                 assert g == pytest.approx(w, rel=5e-9, abs=1e-15)
 
 
+def slot_record(episode, slot, avg_loss, accuracy, error_rate, reward,
+                accepted, mean_delay):
+    return SlotResult(avg_loss, mean_delay, {}, {}, list(range(accepted)),
+                      [], {}, episode=episode, slot=slot, reward=reward,
+                      accuracy=accuracy, error_rate=error_rate)
+
+
 def test_phase_rows_summary_and_order():
-    records = [PhaseRecord(1, 1, 0.4, 0.9, 0.1, -1.0, 3, 0.5, 0.0),
-               PhaseRecord(1, 2, 0.2, 0.8, 0.2, -2.0, 2, 0.7, 0.0),
-               PhaseRecord(2, 1, 0.6, 0.7, 0.3, -3.0, 1, 0.9, 0.0),
-               PhaseRecord(2, 2, 0.8, 0.6, 0.4, -4.0, 4, 1.1, 0.0)]
-    rows = _phase_rows(records, "rid", "ddafl", "hash")
+    records = [slot_record(1, 1, 0.4, 0.9, 0.1, -1.0, 3, 0.5),
+               slot_record(1, 2, 0.2, 0.8, 0.2, -2.0, 2, 0.7),
+               slot_record(2, 1, 0.6, 0.7, 0.3, -3.0, 1, 0.9),
+               slot_record(2, 2, 0.8, 0.6, 0.4, -4.0, 4, 1.1)]
+    rows = _phase_rows(records, "rid", "ddafl", "hash", 0.4)
     assert [(r.episode, r.slot) for r in rows] \
         == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
     ep1 = rows[0]
@@ -99,7 +106,8 @@ def test_phase_rows_summary_and_order():
     assert ep1.accepted_count == 5
     assert ep1.mean_delay == pytest.approx(0.6, abs=1e-12)
     assert all(r.run_id == "rid" and r.scheme == "ddafl"
-               and r.config_hash == "hash" for r in rows)
+               and r.config_hash == "hash" and r.attacked_fraction == 0.4
+               for r in rows)
 
 
 # -- scheme table -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Episode-state tests: shards, CPUs, mobility, fading, attack plumbing."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -40,13 +41,24 @@ def test_bad_vehicle_holds_quarter_shard():
     world, cfg = make_world(bad_vehicle=1)
     assert world.data_counts().tolist() == [40, 10, 40]
     assert [v.bad for v in world.vehicles] == [False, True, False]
-    assert world.vehicles[1].shard.bad_node
 
 
 def test_rsu_and_eval_sizes():
     world, cfg = make_world()
     assert len(world.rsu_batch) == 40
     assert len(world.eval_batch) == 50
+
+
+def test_csv_dataset_of_the_wrong_width_is_refused(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("".join(f"{i % 10}," + ",".join(["0.5"] * 10) + "\n"
+                            for i in range(20)))
+    cfg = replace(SimConfig(), dataset_path=str(path))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 10 "
+                       f"features per row, but feature_dim is 64$"):
+        build_dataset(cfg, 0)
+    assert build_dataset(replace(cfg, feature_dim=10), 0).inputs.shape \
+        == (20, 10)
 
 
 def test_compute_draws_respect_bounds():
