@@ -178,6 +178,16 @@ def _require(ok: bool, key: str, why: str) -> None:
         raise ConfigError(f"config key '{key}': {why}")
 
 
+# the budget that samples_needed states, spelled as the keys
+SAMPLE_BUDGET = "vehicle_count * shard_size + rsu_shard_size + eval_size"
+
+
+def samples_needed(cfg: SimConfig) -> int:
+    """Dataset rows the vehicle shards, trusted shard and eval pool take."""
+    return cfg.vehicle_count * cfg.shard_size + cfg.rsu_shard_size \
+        + cfg.eval_size
+
+
 def validate_config(cfg: SimConfig) -> SimConfig:
     for key, ftype in _FIELD_TYPES.items():
         if ftype == "float" or ftype is float:
@@ -246,10 +256,10 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     _require(arch[-1] == NUM_CLASSES, "classifier_arch",
              f"output width must be {NUM_CLASSES}")
 
-    budget = cfg.vehicle_count * cfg.shard_size + cfg.rsu_shard_size \
-        + cfg.eval_size
+    budget = samples_needed(cfg)
     _require(budget <= cfg.dataset_size, "dataset_size",
-             f"needs at least {budget} samples for the configured shards")
+             f"needs at least {budget} samples for the configured shards "
+             f"({SAMPLE_BUDGET})")
 
     _require(cfg.start_x_min_m < cfg.start_x_max_m, "start_x_min_m",
              "must be below start_x_max_m")

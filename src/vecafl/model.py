@@ -8,6 +8,7 @@ only the output head differs.
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,6 +213,30 @@ def sgd_step(params: ModelParams, grads: ModelParams,
 LOSS_ROWS = 64
 
 
+class _Operands(NamedTuple):
+    """Every operand of one stacked step, rows lo:hi of learners first:stop.
+
+    All are views into ``train_cohort``'s buffers, built once per cohort
+    and replayed on every pass: the inputs and targets fill in place, the
+    scratch is shared by all steps, and the parameters and gradients are
+    the cohort's stacks.
+    """
+
+    inputs: np.ndarray      # (learners, rows, in)
+    layers: tuple           # (weights, biases, output) per layer, in order
+    logits: np.ndarray      # the last output as (learners * rows, classes)
+    by_column: np.ndarray   # (classes, learners * rows) scratch
+    row_stat: np.ndarray    # (learners * rows,): a row max, then a sum
+    row_stat_col: np.ndarray  # row_stat as a (learners * rows, 1) column
+    targets: np.ndarray     # one-hot rows, like the last output
+    rows: int
+    back: tuple             # (input^T, grad w, grad b, w^T, error, input)
+                            # per layer, last first; the last three are
+                            # None on layer 0, whose input needs no error
+    grads: np.ndarray       # the learners' rows of the gradient stack
+    params: np.ndarray      # and of the parameter stack
+
+
 def _step_plan(sizes, block: int, join_lone_row: bool = False) -> list:
     """Stacked steps (first, stop, lo, hi) over learners sorted by size.
 
@@ -258,7 +283,8 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     so the summation order, of its solo run: see ``_step_plan``.  A short
     last minibatch is never padded.  The starts' vectors are stacked into
     one (g, P) array, and the gradients live in a second one, so a step
-    ends in one fused update.
+    ends in one fused update.  Every operand of a step is a view built once
+    per cohort (``_Operands``) and replayed on each pass.
 
     The final loss runs over row blocks of ``LOSS_ROWS``.  A row's logits
     from a block equal those from the whole shard because the blocks start
@@ -297,53 +323,73 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     # step views the head of each as a contiguous (learners, rows, width)
     outs = [np.empty((g * rows, n)) for n in arch[1:]]
     deltas = [np.empty((g * rows, n)) for n in arch[1:-1]]
+    by_column = np.empty(g * rows * arch[-1])  # the logits column-major
     column = np.empty(g * rows)  # a row max, then a row sum, of the logits
     last = len(layers) - 1
 
-    def scratch(buf, first, stop, lo, hi):
-        return buf[:(stop - first) * (hi - lo)].reshape(stop - first, hi - lo,
-                                                        -1)
+    def operands(first, stop, lo, hi):
+        """The views one step over rows lo:hi of learners first:stop uses."""
+        n = (stop - first) * (hi - lo)
 
-    def forward(first, stop, lo, hi):
-        """Layer inputs, then class probabilities, of rows lo:hi of
-        learners first:stop."""
-        acts = [inputs[first:stop, lo:hi]]
-        for k, (w, b) in enumerate(layers):
-            z = np.matmul(acts[-1], w[first:stop],
-                          out=scratch(outs[k], first, stop, lo, hi))
-            z += b[first:stop, None, :]
-            if k < last:
-                np.maximum(z, 0.0, out=z)
-            acts.append(z)
-        flat = outs[last][:(stop - first) * (hi - lo)]  # z as 2-D rows
-        col = column[:len(flat)]
-        np.maximum.reduce(flat, axis=1, out=col)
-        flat -= col[:, None]
-        np.exp(flat, out=flat)
-        np.add.reduce(flat, axis=1, out=col)
-        flat /= col[:, None]
-        return acts
+        def scratch(buf):
+            return buf[:n].reshape(stop - first, hi - lo, -1)
 
-    def step(first, stop, lo, hi):
-        acts = forward(first, stop, lo, hi)
-        delta = acts.pop()
-        delta -= targets[first:stop, lo:hi]
-        delta /= hi - lo
+        acts = [inputs[first:stop, lo:hi]] + [scratch(z) for z in outs]
+        back = []
         for k in range(last, -1, -1):
             gw, gb = grad_layers[k]
-            np.matmul(acts[k].swapaxes(-1, -2), delta, out=gw[first:stop])
-            np.add.reduce(delta, axis=1, out=gb[first:stop])
-            if k:  # the input rows need no gradient
-                delta = np.matmul(delta, layers[k][0][first:stop]
-                                  .swapaxes(-1, -2),
-                                  out=scratch(deltas[k - 1], first, stop,
-                                              lo, hi))
-                delta *= acts[k] > 0.0
-        update = grads[first:stop]
-        update *= -eta
-        stack[first:stop] += update
+            below = ((layers[k][0][first:stop].swapaxes(-1, -2),
+                      scratch(deltas[k - 1]), acts[k]) if k
+                     else (None, None, None))  # the input rows need no error
+            back.append((acts[k].swapaxes(-1, -2), gw[first:stop],
+                         gb[first:stop]) + below)
+        return _Operands(
+            acts[0],
+            tuple((w[first:stop], b[first:stop, None, :], z)
+                  for (w, b), z in zip(layers, acts[1:])),
+            outs[last][:n], by_column[:n * arch[-1]].reshape(arch[-1], n),
+            column[:n], column[:n, None], targets[first:stop, lo:hi],
+            hi - lo, tuple(back),
+            grads[first:stop], stack[first:stop])
 
-    plan = _step_plan(sizes, batch_size)
+    def forward(step):
+        """Class probabilities of the step's rows, left in its last output.
+
+        The row max is taken down the columns of a column-major copy, one
+        vectorised pass per class; a max does not depend on the order of
+        its terms, and the sign of a zero max reaches no later value.
+        """
+        h = step.inputs
+        for k, (w, b, z) in enumerate(step.layers):
+            np.matmul(h, w, out=z)
+            z += b
+            if k < last:
+                np.maximum(z, 0.0, out=z)
+            h = z
+        logits, stat, stat_col = step.logits, step.row_stat, step.row_stat_col
+        np.copyto(step.by_column, logits.T)
+        np.maximum.reduce(step.by_column, axis=0, out=stat)
+        logits -= stat_col
+        np.exp(logits, out=logits)
+        np.add.reduce(logits, axis=1, out=stat)
+        logits /= stat_col
+        return h
+
+    def train(step):
+        delta = forward(step)
+        delta -= step.targets
+        delta /= step.rows
+        for a_t, gw, gb, w_t, error, a in step.back:
+            np.matmul(a_t, delta, out=gw)
+            np.add.reduce(delta, axis=1, out=gb)
+            if w_t is not None:
+                delta = np.matmul(delta, w_t, out=error)
+                delta *= a > 0.0
+        update, params = step.grads, step.params
+        update *= -eta
+        params += update
+
+    plan = [operands(*bounds) for bounds in _step_plan(sizes, batch_size)]
     for _ in range(rounds):
         for row, (i, batch) in enumerate(zip(order, batches)):
             perm = rngs[i].permutation(len(batch))
@@ -352,8 +398,8 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
                     mode="clip")
             np.take(hots[row], perm, axis=0, out=targets[row, :len(batch)],
                     mode="clip")
-        for first, stop, lo, hi in plan:
-            step(first, stop, lo, hi)
+        for step in plan:
+            train(step)
 
     picked = np.empty((g, sizes[0]))
     labels = np.empty((g, sizes[0]), dtype=np.intp)
@@ -362,7 +408,7 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
         labels[row, :len(batch)] = batch.labels
     for first, stop, lo, hi in _step_plan(sizes, LOSS_ROWS,
                                           join_lone_row=True):
-        probs = forward(first, stop, lo, hi)[-1]
+        probs = forward(operands(first, stop, lo, hi))
         picked[first:stop, lo:hi] = np.take_along_axis(
             probs, labels[first:stop, lo:hi, None], axis=-1)[..., 0]
     out = [None] * g

@@ -20,7 +20,7 @@ from .channel import (ChannelState, LinkBudget, Position3, advance_position,
                       channel_correlation, complex_gaussian,
                       cos_bearing_angle, distance_to_antenna, doppler_freq,
                       evolve_channel, transmission_rate)
-from .config import SimConfig
+from .config import SAMPLE_BUDGET, SimConfig, samples_needed
 from .data import DataShard, LabeledBatch, partition, synthetic_blobs, load_csv
 from .rng import substream
 
@@ -44,6 +44,9 @@ def build_dataset(cfg: SimConfig, seed: int) -> LabeledBatch:
         if width != cfg.feature_dim:
             raise ValueError(f"{cfg.dataset_path}: {width} features per row, "
                              f"but feature_dim is {cfg.feature_dim}")
+        if len(batch) < samples_needed(cfg):
+            raise ValueError(f"{cfg.dataset_path}: {len(batch)} rows, but "
+                             f"{SAMPLE_BUDGET} is {samples_needed(cfg)}")
         return batch
     return synthetic_blobs(cfg.dataset_size, cfg.feature_dim,
                            substream(seed, "data"), cfg.blob_spread)
@@ -67,10 +70,32 @@ def _truncnorm_draws(a: float, b: float, loc: float, scale: float,
         log_tail, log_q = special.log_ndtr(a), np.log(q)
     else:  # minus the draw from [-b, -a] at 1 - q
         log_tail, log_q = special.log_ndtr(-b), np.log1p(-q)
-    log_cdf = special.logsumexp(   # log(tail + q * mass)
-        np.broadcast_arrays(log_tail, log_q + _log_gauss_mass(a, b)), axis=0)
+    log_cdf = _logsumexp_rows(   # log(tail + q * mass)
+        np.stack(np.broadcast_arrays(log_tail, log_q + _log_gauss_mass(a, b))))
     vals = special.ndtri_exp(log_cdf)
     return (vals if a < 0 else -vals) * scale + loc
+
+
+def _logsumexp_rows(rows: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(rows, axis=0)`` for real rows.
+
+    The same float operations as scipy 1.17 without its array-API dispatch,
+    which costs far more than the arithmetic on a few values.  Each
+    column's largest term is split off, the rest are shifted by it, summed
+    and divided by the count of tied largest terms; where that result is
+    not finite, the direct log of the sum of exponentials stands.  scipy's
+    sign bookkeeping is left out: with no weights the sum is never
+    negative, so it changes no value.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(rows, axis=0)
+        is_top = rows == top
+        ties = np.sum(is_top, axis=0, dtype=rows.dtype)
+        rest = np.sum(np.exp(np.where(is_top, -np.inf, rows) - top), axis=0)
+        rest = np.where(rest == 0, rest, rest / ties)
+        out = np.log1p(rest) + np.log(ties) + top
+        return np.where(np.isfinite(out), out,
+                        np.log(np.sum(np.exp(rows), axis=0)))
 
 
 def _log_gauss_mass(a: float, b: float) -> float:

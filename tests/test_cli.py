@@ -131,6 +131,24 @@ def test_csv_of_the_wrong_width_exits_2_naming_the_file(cfg_file, tmp_path,
         in capsys.readouterr().err
 
 
+def test_csv_short_of_the_shards_exits_2_naming_the_file(cfg_file, tmp_path,
+                                                        capsys):
+    # rows for the vehicle and trusted shards but none for the eval pool:
+    # without the check this runs to the end with accuracy nan in every row
+    data = tmp_path / "short.csv"
+    rng = np.random.default_rng(0)
+    data.write_text("".join(f"{i % 10}," + ",".join(map(str, rng.random(6)))
+                            + "\n" for i in range(3 * 40 + 40)))
+    save_config(replace(load_config(cfg_file), dataset_path=str(data)),
+                tmp_path / "csv.cfg")
+    code = main(["baseline", "--scheme", "plain_afl", "--config",
+                 str(tmp_path / "csv.cfg"), "--seed", "1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert (f"{data}: 160 rows, but vehicle_count * shard_size + "
+            f"rsu_shard_size + eval_size is 210") in capsys.readouterr().err
+
+
 def test_bad_sweep_fraction_exits_2(cfg_file, capsys):
     code = main(["sweep", "--attack", "class_flip", "--fractions", "0,1.5",
                  "--config", cfg_file, "--seed", "1"])

@@ -358,6 +358,48 @@ def test_cohort_matches_solo_on_drawn_cohorts(sizes, batch_size, rounds,
                  distinct_starts=distinct_starts, seed=seed)
 
 
+def as_bytes(result):
+    """A learner's trained vector and loss as bytes, NaN payloads and all."""
+    params, loss = result
+    return params.vector.tobytes() + np.float64(loss).tobytes()
+
+
+@pytest.mark.parametrize("start", ["zeros", "nan", "inf"])
+def test_cohort_matches_solo_bit_for_bit_from_degenerate_starts(start):
+    # the softmax row max is taken down the columns: all-zero parameters
+    # tie every logit at +0.0 on the first step, and a NaN or an inf
+    # reaches the max; the other learners must not notice
+    arch, sizes = (8, 6, 10), [40, 40, 13]
+    starts = [init_params(arch, substream(30, "edge", i)) for i in range(3)]
+    odd = starts[1].vector
+    if start == "zeros":
+        odd[:] = 0.0
+    else:
+        odd[[5, -3]] = float(start)  # a first-layer weight, an output bias
+    shards = [random_shard(n, arch[0], 31 + i) for i, n in enumerate(sizes)]
+    rngs = lambda: [substream(32, "edge", i) for i in range(3)]
+    with np.errstate(all="ignore"):
+        got = train_cohort(starts, shards, rngs(), 2, 0.05, 16)
+        want = [solo_reference(p, shard, 2, 0.05, 16, rng)
+                for p, shard, rng in zip(starts, shards, rngs())]
+    assert [as_bytes(r) for r in got] == [as_bytes(r) for r in want]
+    assert np.all(np.isfinite(got[0][0].vector))
+    assert np.all(np.isfinite(got[2][0].vector))
+    assert np.isfinite(got[1][1]) == (start == "zeros")
+
+
+def test_cohort_trained_twice_writes_the_same_bytes():
+    # the per-step operands are built per call and keep no state
+    arch, sizes = (8, 6, 10), [50, 14, 7, 50]
+    starts = [init_params(arch, substream(33, "twice", i)) for i in range(4)]
+    shards = [random_shard(n, arch[0], 34 + i) for i, n in enumerate(sizes)]
+    runs = [train_cohort(starts, shards,
+                         [substream(35, "twice", i) for i in range(4)],
+                         3, 0.05, 8)
+            for _ in range(2)]
+    assert [as_bytes(r) for r in runs[0]] == [as_bytes(r) for r in runs[1]]
+
+
 @pytest.mark.parametrize("rounds", [0, 2])
 def test_cohort_results_share_no_memory(rounds):
     starts = [init_params((6, 4, 10), substream(20, "alias", i % 2))

@@ -57,8 +57,22 @@ def test_csv_dataset_of_the_wrong_width_is_refused(tmp_path):
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 10 "
                        f"features per row, but feature_dim is 64$"):
         build_dataset(cfg, 0)
-    assert build_dataset(replace(cfg, feature_dim=10), 0).inputs.shape \
-        == (20, 10)
+    fits = replace(cfg, feature_dim=10, vehicle_count=2, shard_size=5,
+                   rsu_shard_size=5, eval_size=5)
+    assert build_dataset(fits, 0).inputs.shape == (20, 10)
+
+
+def test_csv_dataset_short_of_the_shards_is_refused(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("".join(f"{i % 10},0.5,0.5\n" for i in range(20)))
+    cfg = replace(SimConfig(), dataset_path=str(path), feature_dim=2,
+                  vehicle_count=2, shard_size=5, rsu_shard_size=5,
+                  eval_size=6)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 20 rows, "
+                       r"but vehicle_count \* shard_size \+ rsu_shard_size "
+                       r"\+ eval_size is 21$"):
+        build_dataset(cfg, 0)
+    assert len(build_dataset(replace(cfg, eval_size=5), 0)) == 20
 
 
 def test_compute_draws_respect_bounds():
