@@ -179,13 +179,24 @@ def _require(ok: bool, key: str, why: str) -> None:
 
 
 # the budget that samples_needed states, spelled as the keys
-SAMPLE_BUDGET = "vehicle_count * shard_size + rsu_shard_size + eval_size"
+SAMPLE_BUDGET = ("the vehicle shards (shard_size each, bad_vehicle's cut to "
+                 "shard_size // bad_shard_divisor) + rsu_shard_size "
+                 "+ eval_size")
+
+
+def shard_sizes(cfg: SimConfig) -> list:
+    """Rows of each vehicle's shard: ``shard_size``, but the degraded
+    vehicle's is divided by ``bad_shard_divisor`` and keeps at least one."""
+    sizes = [cfg.shard_size] * cfg.vehicle_count
+    if cfg.bad_vehicle >= 0:
+        sizes[cfg.bad_vehicle] = max(1, cfg.shard_size
+                                     // cfg.bad_shard_divisor)
+    return sizes
 
 
 def samples_needed(cfg: SimConfig) -> int:
     """Dataset rows the vehicle shards, trusted shard and eval pool take."""
-    return cfg.vehicle_count * cfg.shard_size + cfg.rsu_shard_size \
-        + cfg.eval_size
+    return sum(shard_sizes(cfg)) + cfg.rsu_shard_size + cfg.eval_size
 
 
 def validate_config(cfg: SimConfig) -> SimConfig:

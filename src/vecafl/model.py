@@ -7,6 +7,7 @@ only the output head differs.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -207,19 +208,24 @@ def sgd_step(params: ModelParams, grads: ModelParams,
 
 
 # Row block of the final loss: a multiple of the BLAS kernels' row panels,
-# so that blocked logits equal whole-shard ones, and small enough that the
-# default net's widest product (64 x 64 x 32) stays under OpenBLAS's
-# threading threshold of 262,144.
-LOSS_ROWS = 64
+# so that blocked logits equal whole-shard ones.  The default net's widest
+# block product (256 x 64 x 32) is past OpenBLAS's threading threshold;
+# that is safe because importing vecafl pins OpenBLAS to one thread, so no
+# product is split over threads or wakes a worker that then spins.
+LOSS_ROWS = 256
+
+# cohort shapes whose operand records the workspace keeps: five vehicles
+# and the roadside learner make at most 19 shapes under one config
+_SHAPES_KEPT = 32
 
 
 class _Operands(NamedTuple):
     """Every operand of one stacked step, rows lo:hi of learners first:stop.
 
-    All are views into ``train_cohort``'s buffers, built once per cohort
-    and replayed on every pass: the inputs and targets fill in place, the
-    scratch is shared by all steps, and the parameters and gradients are
-    the cohort's stacks.
+    All are views into the cohort workspace, built once per cohort shape
+    and replayed on every pass of every call with that shape: the inputs
+    and targets fill in place, the scratch is shared by all steps, and the
+    parameters and gradients are the cohort's stacks.
     """
 
     inputs: np.ndarray      # (learners, rows, in)
@@ -267,6 +273,112 @@ def _step_plan(sizes, block: int, join_lone_row: bool = False) -> list:
     return steps
 
 
+class _Cohort(NamedTuple):
+    """One cohort shape's views into the workspace, and its step operands."""
+
+    stack: np.ndarray     # (g, P) parameters; a call copies its starts in
+    inputs: np.ndarray    # (g, largest shard, in) gathered input rows
+    targets: np.ndarray   # (g, largest shard, classes) one-hot rows
+    picked: np.ndarray    # (g, largest shard) true-class probabilities
+    labels: np.ndarray    # (g, largest shard) labels for the final loss
+    train: tuple          # _Operands per step of _step_plan(sizes, batch)
+    loss: tuple           # (_Operands, its picked, its labels[..., None])
+                          # per row block of the final loss
+
+
+class _Workspace:
+    """The buffers and per-shape operand records ``train_cohort`` reuses.
+
+    Every buffer is flat and sized to the largest cohort seen so far: it
+    grows when a bigger one arrives and never shrinks.  A grown buffer is
+    a new array, so the kept records, which view the old one, are dropped
+    with it.  Records are keyed by (architecture, sorted sizes, batch size);
+    the ``_SHAPES_KEPT`` most recently built are kept.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+        self._cohorts = {}
+
+    def _buffer(self, name, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+            self._cohorts.clear()
+        return buf[:size].reshape(shape)
+
+    def cohort(self, arch: tuple, sizes: list, batch_size: int) -> _Cohort:
+        key = (arch, tuple(sizes), batch_size)
+        found = self._cohorts.get(key)
+        if found is None:
+            if len(self._cohorts) >= _SHAPES_KEPT:
+                del self._cohorts[next(iter(self._cohorts))]
+            found = self._cohorts[key] = self._build(arch, sizes, batch_size)
+        return found
+
+    def _build(self, arch, sizes, batch_size) -> _Cohort:
+        g, longest = len(sizes), sizes[0]
+        rows = min(longest, max(batch_size, LOSS_ROWS + 1))
+        stack = self._buffer("stack", (g, _param_count(arch)))
+        grads = self._buffer("grads", stack.shape)
+        inputs = self._buffer("inputs", (g, longest, arch[0]))
+        targets = self._buffer("targets", (g, longest, arch[-1]))
+        picked = self._buffer("picked", (g, longest))
+        labels = self._buffer("labels", (g, longest), np.intp)
+        # scratch rows for the layer outputs and the backpropagated errors; a
+        # step views the head of each as a contiguous (learners, rows, width)
+        outs = [self._buffer(("out", k), (g * rows, n))
+                for k, n in enumerate(arch[1:])]
+        deltas = [self._buffer(("delta", k), (g * rows, n))
+                  for k, n in enumerate(arch[1:-1])]
+        # the logits column-major, and a row max, then a row sum, of them
+        by_column = self._buffer("by_column", (g * rows * arch[-1],))
+        column = self._buffer("column", (g * rows,))
+        layers = _layer_views(stack, arch)
+        grad_layers = _layer_views(grads, arch)
+        last = len(layers) - 1
+
+        def operands(first, stop, lo, hi):
+            """The views one step over rows lo:hi of learners first:stop
+            uses."""
+            n = (stop - first) * (hi - lo)
+
+            def scratch(buf):
+                return buf[:n].reshape(stop - first, hi - lo, -1)
+
+            acts = [inputs[first:stop, lo:hi]] + [scratch(z) for z in outs]
+            back = []
+            for k in range(last, -1, -1):
+                gw, gb = grad_layers[k]
+                below = ((layers[k][0][first:stop].swapaxes(-1, -2),
+                          scratch(deltas[k - 1]), acts[k]) if k
+                         else (None, None, None))  # input rows need no error
+                back.append((acts[k].swapaxes(-1, -2), gw[first:stop],
+                             gb[first:stop]) + below)
+            return _Operands(
+                acts[0],
+                tuple((w[first:stop], b[first:stop, None, :], z)
+                      for (w, b), z in zip(layers, acts[1:])),
+                outs[last][:n], by_column[:n * arch[-1]].reshape(arch[-1], n),
+                column[:n], column[:n, None], targets[first:stop, lo:hi],
+                hi - lo, tuple(back),
+                grads[first:stop], stack[first:stop])
+
+        loss = tuple((operands(first, stop, lo, hi),
+                      picked[first:stop, lo:hi],
+                      labels[first:stop, lo:hi, None])
+                     for first, stop, lo, hi in _step_plan(
+                         sizes, LOSS_ROWS, join_lone_row=True))
+        return _Cohort(stack, inputs, targets, picked, labels,
+                       tuple(operands(*bounds)
+                             for bounds in _step_plan(sizes, batch_size)),
+                       loss)
+
+
+_WORKSPACE = _Workspace()
+
+
 def train_cohort(starts, shards, rngs, rounds: int, eta: float,
                  batch_size: int) -> list:
     """Minibatch SGD for a cohort of learners in lockstep.
@@ -274,23 +386,32 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     Learner i starts from ``starts[i]`` and makes ``rounds`` passes over
     ``shards[i]``, reshuffled each pass by ``rngs[i].permutation``.
     Returns one (trained parameters, mean loss of the final model on the
-    whole shard) per learner, in input order.
+    whole shard) per learner, in input order; the results own their
+    memory.
 
     Each learner's result is bit-identical to training it alone with
     ``gradient`` and ``sgd_step`` and scoring it with ``cross_entropy``.
     The learners are ordered by shard size, largest first, so that every
     stacked operand is a view and each learner meets the matrix shapes, and
     so the summation order, of its solo run: see ``_step_plan``.  A short
-    last minibatch is never padded.  The starts' vectors are stacked into
-    one (g, P) array, and the gradients live in a second one, so a step
-    ends in one fused update.  Every operand of a step is a view built once
-    per cohort (``_Operands``) and replayed on each pass.
+    last minibatch is never padded.  The starts' vectors are copied into
+    one (g, P) stack, and the gradients live in a second one, so a step
+    ends in one fused update.
+
+    The stacks, the gathered rows and the scratch live in one module-level
+    ``_Workspace``, reused by every call, and every operand of a step is a
+    view built once per cohort shape (``_Operands``) and replayed on each
+    pass of each call with that shape.  Every value a step reads is written
+    earlier in the same call, so a call does not see its predecessors.  The
+    workspace assumes the simulator's single thread: two concurrent calls
+    would share it.
 
     The final loss runs over row blocks of ``LOSS_ROWS``.  A row's logits
     from a block equal those from the whole shard because the blocks start
     on the BLAS kernel's row panels and no block but a one-row shard is a
-    single row, which numpy hands to a matrix-vector kernel instead.
-    Keeping every product this small also keeps BLAS on one thread.
+    single row, which numpy hands to a matrix-vector kernel instead.  The
+    blocks can be this wide because BLAS is pinned to one thread (see
+    ``vecafl``), so no block product is split over threads.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -309,48 +430,13 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     batches = [LabeledBatch(np.asarray(shards[i].inputs, dtype=float),
                             np.asarray(shards[i].labels, dtype=np.intp))
                for i in order]
-    g, rows = len(order), min(sizes[0], max(batch_size, LOSS_ROWS + 1))
-    stack = np.stack([starts[i].vector for i in order])
-    grads = np.empty_like(stack)
-    layers = _layer_views(stack, arch)
-    grad_layers = _layer_views(grads, arch)
+    cohort = _WORKSPACE.cohort(arch, sizes, batch_size)
+    stack, inputs, targets = cohort.stack, cohort.inputs, cohort.targets
+    np.stack([starts[i].vector for i in order], out=stack)
     # each shard's labels as one-hot rows, gathered with the inputs, so a
     # step's softmax-minus-target is one subtraction
     hots = [np.eye(arch[-1])[batch.labels] for batch in batches]
-    inputs = np.empty((g, sizes[0], arch[0]))
-    targets = np.empty((g, sizes[0], arch[-1]))
-    # scratch rows for the layer outputs and the backpropagated errors; a
-    # step views the head of each as a contiguous (learners, rows, width)
-    outs = [np.empty((g * rows, n)) for n in arch[1:]]
-    deltas = [np.empty((g * rows, n)) for n in arch[1:-1]]
-    by_column = np.empty(g * rows * arch[-1])  # the logits column-major
-    column = np.empty(g * rows)  # a row max, then a row sum, of the logits
-    last = len(layers) - 1
-
-    def operands(first, stop, lo, hi):
-        """The views one step over rows lo:hi of learners first:stop uses."""
-        n = (stop - first) * (hi - lo)
-
-        def scratch(buf):
-            return buf[:n].reshape(stop - first, hi - lo, -1)
-
-        acts = [inputs[first:stop, lo:hi]] + [scratch(z) for z in outs]
-        back = []
-        for k in range(last, -1, -1):
-            gw, gb = grad_layers[k]
-            below = ((layers[k][0][first:stop].swapaxes(-1, -2),
-                      scratch(deltas[k - 1]), acts[k]) if k
-                     else (None, None, None))  # the input rows need no error
-            back.append((acts[k].swapaxes(-1, -2), gw[first:stop],
-                         gb[first:stop]) + below)
-        return _Operands(
-            acts[0],
-            tuple((w[first:stop], b[first:stop, None, :], z)
-                  for (w, b), z in zip(layers, acts[1:])),
-            outs[last][:n], by_column[:n * arch[-1]].reshape(arch[-1], n),
-            column[:n], column[:n, None], targets[first:stop, lo:hi],
-            hi - lo, tuple(back),
-            grads[first:stop], stack[first:stop])
+    last = len(arch) - 2
 
     def forward(step):
         """Class probabilities of the step's rows, left in its last output.
@@ -389,7 +475,6 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
         update *= -eta
         params += update
 
-    plan = [operands(*bounds) for bounds in _step_plan(sizes, batch_size)]
     for _ in range(rounds):
         for row, (i, batch) in enumerate(zip(order, batches)):
             perm = rngs[i].permutation(len(batch))
@@ -398,23 +483,19 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
                     mode="clip")
             np.take(hots[row], perm, axis=0, out=targets[row, :len(batch)],
                     mode="clip")
-        for step in plan:
+        for step in cohort.train:
             train(step)
 
-    picked = np.empty((g, sizes[0]))
-    labels = np.empty((g, sizes[0]), dtype=np.intp)
     for row, batch in enumerate(batches):
         inputs[row, :len(batch)] = batch.inputs
-        labels[row, :len(batch)] = batch.labels
-    for first, stop, lo, hi in _step_plan(sizes, LOSS_ROWS,
-                                          join_lone_row=True):
-        probs = forward(operands(first, stop, lo, hi))
-        picked[first:stop, lo:hi] = np.take_along_axis(
-            probs, labels[first:stop, lo:hi, None], axis=-1)[..., 0]
-    out = [None] * g
+        cohort.labels[row, :len(batch)] = batch.labels
+    for step, picked, labels in cohort.loss:
+        picked[...] = np.take_along_axis(forward(step), labels,
+                                         axis=-1)[..., 0]
+    out = [None] * len(order)
     for row, i in enumerate(order):
         out[i] = (ModelParams(stack[row].copy(), arch),
-                  _mean_nll(picked[row, :sizes[row]]))
+                  _mean_nll(cohort.picked[row, :sizes[row]]))
     return out
 
 

@@ -20,7 +20,7 @@ from .channel import (ChannelState, LinkBudget, Position3, advance_position,
                       channel_correlation, complex_gaussian,
                       cos_bearing_angle, distance_to_antenna, doppler_freq,
                       evolve_channel, transmission_rate)
-from .config import SAMPLE_BUDGET, SimConfig, samples_needed
+from .config import SAMPLE_BUDGET, SimConfig, samples_needed, shard_sizes
 from .data import DataShard, LabeledBatch, partition, synthetic_blobs, load_csv
 from .rng import substream
 
@@ -52,8 +52,9 @@ def build_dataset(cfg: SimConfig, seed: int) -> LabeledBatch:
                            substream(seed, "data"), cfg.blob_spread)
 
 
-def _truncnorm_draws(a: float, b: float, loc: float, scale: float,
-                     size: int, rng: np.random.Generator) -> np.ndarray:
+def _truncnorm_draws(a: float, b: float, log_mass: float, loc: float,
+                     scale: float, size: int,
+                     rng: np.random.Generator) -> np.ndarray:
     """Truncated normal draws: N(loc, scale^2) cut to loc + [a, b] * scale.
 
     Runs the float operations of ``scipy.stats.truncnorm.rvs(a, b,
@@ -61,7 +62,9 @@ def _truncnorm_draws(a: float, b: float, loc: float, scale: float,
     the draws and the generator state after them equal scipy's, on
     ``scipy.special`` alone: importing ``scipy.stats`` costs about a second
     of start-up.  Each uniform goes through the quantile function in log
-    space, worked in the left tail and mirrored when a >= 0.
+    space, worked in the left tail and mirrored when a >= 0.  ``log_mass``
+    is ``_log_gauss_mass(a, b)``, which depends on the cut alone, so a
+    caller that draws every slot works it out once.
     """
     if not (a < b and scale > 0):
         raise ValueError("truncated normal needs a < b and scale > 0")
@@ -71,7 +74,7 @@ def _truncnorm_draws(a: float, b: float, loc: float, scale: float,
     else:  # minus the draw from [-b, -a] at 1 - q
         log_tail, log_q = special.log_ndtr(-b), np.log1p(-q)
     log_cdf = _logsumexp_rows(   # log(tail + q * mass)
-        np.stack(np.broadcast_arrays(log_tail, log_q + _log_gauss_mass(a, b))))
+        np.stack(np.broadcast_arrays(log_tail, log_q + log_mass)))
     vals = special.ndtri_exp(log_cdf)
     return (vals if a < 0 else -vals) * scale + loc
 
@@ -123,12 +126,8 @@ class World:
                                cfg.noise_power_w, cfg.path_loss_exp)
         self._hash = hashlib.sha256()
 
-        sizes = [cfg.shard_size] * cfg.vehicle_count
-        if cfg.bad_vehicle >= 0:
-            sizes[cfg.bad_vehicle] = max(1, cfg.shard_size
-                                         // cfg.bad_shard_divisor)
         shards, rsu_batch, rest = partition(
-            dataset, sizes, cfg.rsu_shard_size,
+            dataset, shard_sizes(cfg), cfg.rsu_shard_size,
             substream(seed, "world", phase, episode, "partition"))
         self.rsu_batch = rsu_batch
         self.eval_batch = LabeledBatch(rest.inputs[:cfg.eval_size],
@@ -143,6 +142,9 @@ class World:
             substream(seed, "world", phase, episode, "channel", vid)
             for vid in range(cfg.vehicle_count)]
 
+        a = (cfg.compute_min_hz - cfg.compute_mean_hz) / cfg.compute_std_hz
+        b = (cfg.compute_max_hz - cfg.compute_mean_hz) / cfg.compute_std_hz
+        self._compute_cut = (a, b, _log_gauss_mass(a, b))
         computes = self._draw_computes()
         self.vehicles = []
         for vid in range(cfg.vehicle_count):
@@ -162,9 +164,7 @@ class World:
 
     def _draw_computes(self) -> np.ndarray:
         cfg = self.cfg
-        a = (cfg.compute_min_hz - cfg.compute_mean_hz) / cfg.compute_std_hz
-        b = (cfg.compute_max_hz - cfg.compute_mean_hz) / cfg.compute_std_hz
-        draws = _truncnorm_draws(a, b, cfg.compute_mean_hz,
+        draws = _truncnorm_draws(*self._compute_cut, cfg.compute_mean_hz,
                                  cfg.compute_std_hz, cfg.vehicle_count,
                                  self._compute_rng)
         if cfg.bad_vehicle >= 0:

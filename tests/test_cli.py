@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from vecafl.cli import main
-from vecafl.config import (SimConfig, load_config, save_config,
-                           validate_config)
+from vecafl.config import (SAMPLE_BUDGET, SimConfig, load_config,
+                           save_config, validate_config)
 
 
 @pytest.fixture()
@@ -145,8 +145,31 @@ def test_csv_short_of_the_shards_exits_2_naming_the_file(cfg_file, tmp_path,
                  str(tmp_path / "csv.cfg"), "--seed", "1",
                  "--out", str(tmp_path / "run")])
     assert code == 2
-    assert (f"{data}: 160 rows, but vehicle_count * shard_size + "
-            f"rsu_shard_size + eval_size is 210") in capsys.readouterr().err
+    assert f"{data}: 160 rows, but {SAMPLE_BUDGET} is 210" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("short", [0, 1])
+def test_csv_of_the_sample_budget_runs_and_one_row_less_exits_2(
+        cfg_file, tmp_path, capsys, short):
+    # vehicle 1 is degraded: 40 + 10 + 40 vehicle rows, 40 trusted, 50 eval
+    rows = 40 + 40 // 4 + 40 + 40 + 50 - short
+    data = tmp_path / "budget.csv"
+    rng = np.random.default_rng(0)
+    data.write_text("".join(f"{i % 10}," + ",".join(map(str, rng.random(6)))
+                            + "\n" for i in range(rows)))
+    save_config(replace(load_config(cfg_file), dataset_path=str(data),
+                        bad_vehicle=1), tmp_path / "csv.cfg")
+    code = main(["baseline", "--scheme", "plain_afl", "--config",
+                 str(tmp_path / "csv.cfg"), "--seed", "1",
+                 "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    if short:
+        assert code == 2
+        assert f"{data}: 179 rows, but {SAMPLE_BUDGET} is 180" in err
+    else:
+        assert code == 0, err
+        assert (tmp_path / "run" / "metrics.csv").exists()
 
 
 def test_bad_sweep_fraction_exits_2(cfg_file, capsys):

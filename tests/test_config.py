@@ -10,13 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vecafl.config import (ConfigError, SimConfig, canonical_text,
-                           config_hash, load_config, save_config,
-                           validate_config)
+                           config_hash, load_config, samples_needed,
+                           save_config, shard_sizes, validate_config)
 from vecafl.data import ATTACK_KINDS, NUM_CLASSES
 
 
 def test_defaults_validate():
     assert validate_config(SimConfig()) is not None
+
+
+def test_default_sample_budget_counts_the_degraded_shard_cut():
+    # four vehicles of 1000 rows, the degraded one's 1000 // 4, the
+    # trusted 600 and the eval pool's 300
+    cfg = SimConfig()
+    assert shard_sizes(cfg) == [1000, 1000, 1000, 1000, 250]
+    assert samples_needed(cfg) == 5150
+    assert samples_needed(replace(cfg, bad_vehicle=-1)) == 5900
+    assert shard_sizes(replace(cfg, shard_size=3, bad_vehicle=0)) \
+        == [1, 3, 3, 3, 3]
+    validate_config(replace(cfg, dataset_size=5150))
+    with pytest.raises(ConfigError, match="dataset_size"):
+        validate_config(replace(cfg, dataset_size=5149))
 
 
 def test_round_trip_preserves_every_field(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (balanced_batch, make_params, params_allclose,
                       params_equal, tiny_122_net)
+from vecafl import model
 from vecafl.model import (LOSS_ROWS, LabeledBatch, ModelParams,
                           _step_plan, cross_entropy, evaluate, forward,
                           forward_stack, gradient, init_params, load_params,
@@ -389,7 +390,7 @@ def test_cohort_matches_solo_bit_for_bit_from_degenerate_starts(start):
 
 
 def test_cohort_trained_twice_writes_the_same_bytes():
-    # the per-step operands are built per call and keep no state
+    # the second call replays the workspace and step operands of the first
     arch, sizes = (8, 6, 10), [50, 14, 7, 50]
     starts = [init_params(arch, substream(33, "twice", i)) for i in range(4)]
     shards = [random_shard(n, arch[0], 34 + i) for i, n in enumerate(sizes)]
@@ -417,6 +418,59 @@ def test_cohort_results_share_no_memory(rounds):
                          for a in arrays(p)]
         for a in arrays(params):
             assert not any(np.shares_memory(a, b) for b in others)
+    # a second call of the same shape reuses the workspace, not the results
+    kept = [as_bytes(r) for r in out]
+    train_cohort(starts[::-1], shards, [substream(22, "alias", i)
+                                        for i in range(3)], 2, 0.1, 8)
+    assert [as_bytes(r) for r in out] == kept
+
+
+def cohort_run(arch, sizes, batch_size, seed, poison=False):
+    """A train_cohort call to make later; ``poison`` fills every start
+    with NaN."""
+    starts = [init_params(arch, substream(seed, "ws", i))
+              for i in range(len(sizes))]
+    if poison:
+        for start in starts:
+            start.vector[:] = np.nan
+    shards = [random_shard(n, arch[0], seed + i) for i, n in enumerate(sizes)]
+    return lambda: [as_bytes(r) for r in train_cohort(
+        starts, shards, [substream(seed, "ws-perm", i)
+                         for i in range(len(sizes))], 2, 0.05, batch_size)]
+
+
+def on_fresh_workspace(monkeypatch, run):
+    monkeypatch.setattr(model, "_WORKSPACE", model._Workspace())
+    return run()
+
+
+@pytest.mark.parametrize("kept", [model._SHAPES_KEPT, 2])
+def test_interleaved_cohorts_match_fresh_workspaces(monkeypatch, kept):
+    # shapes and architectures interleaved, a cohort that grows every
+    # buffer midway, and, at two kept shapes, records evicted and rebuilt
+    runs = [cohort_run((8, 6, 10), [50, 14, 7], 8, 40),
+            cohort_run((6, 5, 4, 10), [30, 9], 5, 41),
+            cohort_run((8, 6, 10), [14, 50, 7, 50], 8, 42),
+            cohort_run((8, 6, 10), [50, 14, 7], 8, 43),
+            cohort_run((8, 6, 10), [50, 14, 7], 12, 44),
+            cohort_run((6, 5, 4, 10), [7, 50, 14], 8, 44),
+            cohort_run((8, 6, 10), [300, 3, 120, 1, 90, 7], 16, 45),
+            cohort_run((6, 5, 4, 10), [30, 9], 5, 46),
+            cohort_run((8, 6, 10), [14, 50, 7, 50], 8, 47)]
+    want = [on_fresh_workspace(monkeypatch, run) for run in runs]
+    monkeypatch.setattr(model, "_WORKSPACE", model._Workspace())
+    monkeypatch.setattr(model, "_SHAPES_KEPT", kept)
+    assert [run() for run in runs] == want
+
+
+def test_a_nan_cohort_leaves_the_next_of_its_shape_clean(monkeypatch):
+    arch, sizes = (8, 6, 10), [40, 40, 13]
+    clean = cohort_run(arch, sizes, 16, 50)
+    want = on_fresh_workspace(monkeypatch, clean)
+    with np.errstate(all="ignore"):
+        on_fresh_workspace(monkeypatch, cohort_run(arch, sizes, 16, 51,
+                                                   poison=True))
+    assert clean() == want
 
 
 @pytest.mark.parametrize("arch", [(64, 32, 10), (8, 6, 5, 10)])

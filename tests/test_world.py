@@ -1,5 +1,6 @@
 """Episode-state tests: shards, CPUs, mobility, fading, attack plumbing."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import vecafl
-from vecafl.config import SimConfig, validate_config
-from vecafl.world import World, _truncnorm_draws, build_dataset
+from vecafl.config import SAMPLE_BUDGET, SimConfig, validate_config
+from vecafl.world import (World, _log_gauss_mass, _truncnorm_draws,
+                          build_dataset)
 
 
 def world_cfg(**overrides):
@@ -58,19 +60,19 @@ def test_csv_dataset_of_the_wrong_width_is_refused(tmp_path):
                        f"features per row, but feature_dim is 64$"):
         build_dataset(cfg, 0)
     fits = replace(cfg, feature_dim=10, vehicle_count=2, shard_size=5,
-                   rsu_shard_size=5, eval_size=5)
+                   rsu_shard_size=5, eval_size=5, bad_vehicle=-1)
     assert build_dataset(fits, 0).inputs.shape == (20, 10)
 
 
 def test_csv_dataset_short_of_the_shards_is_refused(tmp_path):
+    # 8 + 8 // 4 vehicle rows, 5 trusted and 6 eval: one row short
     path = tmp_path / "short.csv"
     path.write_text("".join(f"{i % 10},0.5,0.5\n" for i in range(20)))
     cfg = replace(SimConfig(), dataset_path=str(path), feature_dim=2,
-                  vehicle_count=2, shard_size=5, rsu_shard_size=5,
-                  eval_size=6)
+                  vehicle_count=2, shard_size=8, bad_vehicle=1,
+                  rsu_shard_size=5, eval_size=6)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 20 rows, "
-                       r"but vehicle_count \* shard_size \+ rsu_shard_size "
-                       r"\+ eval_size is 21$"):
+                       f"but {re.escape(SAMPLE_BUDGET)} is 21$"):
         build_dataset(cfg, 0)
     assert len(build_dataset(replace(cfg, eval_size=5), 0)) == 20
 
@@ -93,7 +95,8 @@ def assert_draws_match_scipy(a, b, loc, scale, size, seed):
     got_rng = np.random.default_rng(seed)
     want = stats.truncnorm.rvs(a, b, loc=loc, scale=scale, size=size,
                                random_state=want_rng)
-    got = _truncnorm_draws(a, b, loc, scale, size, got_rng)
+    got = _truncnorm_draws(a, b, _log_gauss_mass(a, b), loc, scale, size,
+                           got_rng)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -135,7 +138,7 @@ def test_truncnorm_draws_equal_scipy_on_any_interval(ends, loc, scale, size,
                                          (float("nan"), 1.0, 1.0)])
 def test_truncnorm_draws_reject_bad_arguments(a, b, scale):
     with pytest.raises(ValueError):
-        _truncnorm_draws(a, b, 0.0, scale, 3, np.random.default_rng(0))
+        _truncnorm_draws(a, b, 0.0, 0.0, scale, 3, np.random.default_rng(0))
 
 
 def test_package_import_leaves_scipy_stats_out():
@@ -257,3 +260,22 @@ def test_train_rng_is_slot_scoped():
     world.advance()
     later = world.train_rng(0).standard_normal(3)
     assert not np.array_equal(first, later)
+
+
+@pytest.mark.parametrize("mean_hz, digest", [
+    (2e9, "073a5bebbb575a46dfe9741eb48f665a6df5f3aab06db6a5513e89badd7cadf5"),
+    # compute_mean_hz at either end of the cut: b == 0 and a == 0, where
+    # the normal mass goes through scipy's complex logsumexp
+    (3e9, "ac6cac73d5ec02182a340560660d2bf507edb27966bebeda590cb59666e75af9"),
+    (1e9, "28495ec12619c8443b9a525791fbd363e7d7de2107231242f5759a26ad2a94da"),
+])
+def test_compute_draws_keep_their_bytes(mean_hz, digest):
+    # frozen from the draws made before the cut's mass was worked out once
+    # per World instead of once per draw
+    world, _ = make_world(bad_vehicle=2, compute_mean_hz=mean_hz)
+    draws = []
+    for _ in range(5):
+        draws.append(world.computes())
+        world.advance()
+    assert hashlib.sha256(np.concatenate(draws).tobytes()).hexdigest() \
+        == digest
