@@ -1,15 +1,16 @@
-"""Frozen reference outputs: per-slot results of five cells.
+"""Frozen reference outputs: per-slot results of nine cells.
 
 A rerun of a cell only proves a run agrees with itself; a change that
 shifts results deterministically passes it.  This test compares against
 values frozen in ``golden_outputs.json`` instead.  The config is the
 default one cut short for speed: it keeps the 250-sample degraded vehicle
 and the 600-sample trusted shard, so learners with short last minibatches
-train every slot.  Three cells deploy.  Two also train the agent and
-freeze the sum and the sum of squares of each learned net:
-``ddafl_train`` on 16x12 nets, and ``ddafl_train_wide`` at the default
-400x300 widths and minibatch of 64, whose agent products are large enough
-for OpenBLAS to split over threads; the package pins BLAS to one thread.
+train every slot.  Four cells only deploy, one of them under ``data_flip``
+on even slots only.  Five also train the agent and freeze the sum and the
+sum of squares of each learned net: ``ddafl_train`` and the three
+ablations on 16x12 nets, and ``ddafl_train_wide`` at the default 400x300
+widths and minibatch of 64, whose agent products are large enough for
+OpenBLAS to split over threads; the package pins BLAS to one thread.
 Every cell also freezes its whole metrics rows (``<cell>_rows``): the
 slot-0 episode summaries and the columns the per-slot entries leave out.
 
@@ -49,8 +50,17 @@ CELLS = {  # cell -> (scheme, config overrides)
     # 5 x 20 transitions against a minibatch of 64: 36 agent updates
     "ddafl_train_wide": ("ddafl", {"train_episodes": 5, "test_episodes": 1,
                                    "slots_per_episode": 20}),
+    # the ablations train with their component off and deploy under attack
+    **{scheme: (scheme, {"attack": "class_flip", "train_episodes": 3,
+                         "replay_batch": 8, "hidden1": 16, "hidden2": 12})
+       for scheme in ("ddafl_no_lt", "ddafl_no_ct", "ddafl_no_defense")},
+    # tampering on even slots only
+    "data_flip_even": ("ddafl", {"attack": "data_flip",
+                                 "attack_persistent": False}),
 }
-TRAINED = ("ddafl_train", "ddafl_train_wide")   # the cells that learn
+TRAINED = ("ddafl_train", "ddafl_train_wide", "ddafl_no_lt", "ddafl_no_ct",
+           "ddafl_no_defense")   # the cells that learn
+PRETRAINED = ("ddafl", "data_flip_even")   # deploy the initial actor
 NETS = ("actor", "critic", "target_actor", "target_critic")
 
 
@@ -64,7 +74,7 @@ def run_cell(cell: str):
     scheme, overrides = CELLS[cell]
     cfg = golden_cfg(**overrides)
     pretrained = None
-    if cell == "ddafl":
+    if cell in PRETRAINED:
         pretrained = ddpg.TrainResult(ddpg.init_agent(cfg, AGENT_SEED),
                                       [], [], [], "")
     return run_experiment(scheme, cfg, SEED, pretrained=pretrained)
