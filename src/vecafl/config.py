@@ -106,22 +106,16 @@ def _parse_value(key: str, text: str):
     ftype = _FIELD_TYPES[key]
     text = text.strip()
     try:
-        if ftype == "int" or ftype is int:
-            return int(text)
-        if ftype == "float" or ftype is float:
-            return float(text)
-        if ftype == "bool" or ftype is bool:
+        if ftype is bool:
             low = text.lower()
             if low in ("true", "yes", "1"):
                 return True
             if low in ("false", "no", "0"):
                 return False
             raise ValueError(text)
-        if ftype == "tuple" or ftype is tuple:
-            if not text:
-                return ()
-            return tuple(int(p) for p in text.split(","))
-        return text  # str
+        if ftype is tuple:
+            return tuple(int(p) for p in text.split(",")) if text else ()
+        return ftype(text)  # int, float or str
     except ValueError as exc:
         raise ConfigError(f"bad value for key '{key}': {text!r}") from exc
 
@@ -137,8 +131,9 @@ def _format_value(value) -> str:
 
 
 def load_config(path) -> SimConfig:
-    """Defaults overridden by the file; rejects unknown or invalid keys."""
-    overrides = {}
+    """Defaults overridden by the file; rejects unknown, repeated or
+    invalid keys."""
+    overrides, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.split("#", 1)[0].strip()
@@ -151,6 +146,10 @@ def load_config(path) -> SimConfig:
             key = key.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key '{key}'")
+            if key in lines:
+                raise ConfigError(f"config key '{key}' set twice, on lines "
+                                  f"{lines[key]} and {lineno}")
+            lines[key] = lineno
             overrides[key] = _parse_value(key, value)
     cfg = SimConfig(**overrides)
     validate_config(cfg)
@@ -201,7 +200,7 @@ def samples_needed(cfg: SimConfig) -> int:
 
 def validate_config(cfg: SimConfig) -> SimConfig:
     for key, ftype in _FIELD_TYPES.items():
-        if ftype == "float" or ftype is float:
+        if ftype is float:
             _require(math.isfinite(getattr(cfg, key)), key, "must be finite")
 
     positive_ints = ("vehicle_count", "model_bits", "dataset_size",
@@ -236,8 +235,10 @@ def validate_config(cfg: SimConfig) -> SimConfig:
              "must lie in (0, 0.1]; target tracking has to be slow")
     _require(0.0 < cfg.ou_decay <= 1.0, "ou_decay", "must lie in (0, 1]")
 
-    _require(0.0 <= cfg.action_floor < 0.5, "action_floor",
-             "must lie in [0, 0.5)")
+    # a positive floor keeps the selection weights' sum, which the slot
+    # reward divides by, above zero
+    _require(0.0 < cfg.action_floor < 0.5, "action_floor",
+             "must lie in (0, 0.5)")
     path = cfg.dataset_path
     _require(not any(c in path for c in "#\n\r") and path == path.strip(),
              "dataset_path", "must not hold '#' or a line break, nor start "

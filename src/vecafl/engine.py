@@ -52,7 +52,8 @@ class SlotResult:
     delays: dict                   # vid -> (t_local, t_upload)
     accepted_ids: list
     skipped_ids: list              # zero uplink rate, never arrived
-    reject_reasons: dict           # vid -> why rejected
+    reject_reasons: dict           # vid -> why rejected, in the
+                                   # order of rejection
     trusted_loss: float = None     # None when no trusted model is kept
     filter_calls: int = 0
     accept_audit: list = field(default_factory=list)  # (vid, loss, limit)
@@ -62,10 +63,6 @@ class SlotResult:
     reward: float = math.nan
     accuracy: float = math.nan
     error_rate: float = math.nan
-
-    @property
-    def rejected_ids(self) -> list:
-        return list(self.reject_reasons)
 
 
 NONFINITE = "nonfinite"     # a NaN or inf announced loss or parameter

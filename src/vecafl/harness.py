@@ -73,20 +73,6 @@ def emit_metrics(rows, path) -> None:
             writer.writerow([_fmt(getattr(row, n)) for n in names])
 
 
-def parse_metrics(path):
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            out.append(MetricsRow(
-                rec["run_id"], rec["scheme"], int(rec["episode"]),
-                int(rec["slot"]), float(rec["avg_loss"]),
-                float(rec["accuracy"]), float(rec["error_rate"]),
-                float(rec["reward"]), float(rec["attacked_fraction"]),
-                int(rec["accepted_count"]), float(rec["mean_delay"]),
-                rec["config_hash"]))
-    return out
-
-
 def _phase_rows(records, run_id: str, scheme: str, cfg_hash: str,
                 attacked_fraction: float = 0.0) -> list:
     """Per-slot rows plus one slot-0 summary row per episode."""

@@ -57,8 +57,7 @@ class ModelParams:
     """Weights and biases of a fully connected network in one vector.
 
     ``vector`` is float64 in the ``_layer_views`` layout: (P,) for one
-    network, (g, P) for a cohort of g.  ``layer_weights`` and
-    ``layer_biases`` are views into it.
+    network, (g, P) for a cohort of g.  ``layers`` holds views into it.
     """
 
     vector: np.ndarray
@@ -75,14 +74,6 @@ class ModelParams:
     @property
     def layers(self) -> list:
         return _layer_views(self.vector, self.architecture)
-
-    @property
-    def layer_weights(self) -> list:
-        return [w for w, _ in self.layers]
-
-    @property
-    def layer_biases(self) -> list:
-        return [b for _, b in self.layers]
 
 
 def weights_then_biases(architecture) -> np.ndarray:
@@ -161,13 +152,6 @@ def backprop_from_logits(params: ModelParams, acts, dlogits: np.ndarray):
     return grads, delta
 
 
-def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Class probabilities; rows sum to one."""
-    logits, _ = forward_stack(params, x)
-    probs = softmax(logits)
-    return probs[0] if np.asarray(x).ndim == 1 else probs
-
-
 def cross_entropy(params: ModelParams, batch: LabeledBatch) -> float:
     """Mean negative log-likelihood of the true labels."""
     if len(batch) == 0:
@@ -179,24 +163,6 @@ def cross_entropy(params: ModelParams, batch: LabeledBatch) -> float:
 def _mean_nll(picked: np.ndarray) -> float:
     """Mean negative log of the true-class probabilities ``picked``."""
     return float(-np.mean(np.log(np.maximum(picked, LOG_CLAMP))))
-
-
-def gradient(params: ModelParams, batch: LabeledBatch) -> ModelParams:
-    """Exact gradient of the mean cross entropy over the batch.
-
-    On a cohort stack (see ``forward_stack``) with (g, n) labels, each
-    learner gets the gradient of the mean over its own n rows.
-    """
-    n = batch.labels.shape[-1]
-    if n == 0:
-        raise ValueError("empty batch")
-    logits, acts = forward_stack(params, batch.inputs)
-    dlogits = softmax(logits)
-    rows = dlogits.reshape(-1, dlogits.shape[-1])  # a view: softmax is fresh
-    rows[np.arange(len(rows)), batch.labels.ravel()] -= 1.0
-    dlogits /= n
-    grads, _ = backprop_from_logits(params, acts, dlogits)
-    return grads
 
 
 def sgd_step(params: ModelParams, grads: ModelParams,
@@ -389,8 +355,10 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     whole shard) per learner, in input order; the results own their
     memory.
 
-    Each learner's result is bit-identical to training it alone with
-    ``gradient`` and ``sgd_step`` and scoring it with ``cross_entropy``.
+    Each learner's result is bit-identical to training it alone, one
+    minibatch at a time, with the exact gradient and ``sgd_step`` and
+    scoring it with ``cross_entropy``: ``tests/reference.py`` holds that
+    solo reference.
     The learners are ordered by shard size, largest first, so that every
     stacked operand is a view and each learner meets the matrix shapes, and
     so the summation order, of its solo run: see ``_step_plan``.  A short

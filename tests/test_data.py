@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import params_equal
+from reference import biases, weights
 from vecafl.data import (DataShard, apply_attack, class_flip, data_flip,
                          degrade_bad_node, load_csv, partition,
                          synthetic_blobs)
@@ -201,8 +202,8 @@ def test_degrade_draws_every_weight_before_any_bias():
     p = init_params((6, 5, 10), substream(22, "deg"))
     out = degrade_bad_node(p, 0.5, substream(23, "deg"))
     rng = substream(23, "deg")
-    noise = [rng.standard_normal(w.shape) for w in p.layer_weights] \
-        + [rng.standard_normal(b.shape) for b in p.layer_biases]
-    for got, start, z in zip(out.layer_weights + out.layer_biases,
-                             p.layer_weights + p.layer_biases, noise):
+    noise = [rng.standard_normal(w.shape) for w in weights(p)] \
+        + [rng.standard_normal(b.shape) for b in biases(p)]
+    for got, start, z in zip(weights(out) + biases(out),
+                             weights(p) + biases(p), noise):
         assert np.array_equal(got, start + 0.5 * z)

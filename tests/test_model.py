@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from conftest import (balanced_batch, make_params, params_allclose,
                       params_equal, tiny_122_net)
 from vecafl import model
+from reference import biases, forward, gradient, solo_sgd, weights
 from vecafl.model import (LOSS_ROWS, LabeledBatch, ModelParams,
-                          _step_plan, cross_entropy, evaluate, forward,
-                          forward_stack, gradient, init_params, load_params,
+                          _step_plan, cross_entropy, evaluate,
+                          forward_stack, init_params, load_params,
                           params_axpy, params_combine, params_copy,
                           params_from_bytes, params_mean, params_scale,
                           params_to_bytes, save_params, sgd_step,
@@ -36,13 +37,13 @@ def test_init_parameter_count():
 
 def test_init_biases_zero():
     p = init_params((64, 32, 10), substream(1, "init"))
-    assert all(np.all(b == 0.0) for b in p.layer_biases)
+    assert all(np.all(b == 0.0) for b in biases(p))
 
 
 def test_init_draws_each_layer_in_order():
     p = init_params((5, 4, 3), substream(1, "init"))
     rng = substream(1, "init")
-    for w, (fan_in, fan_out) in zip(p.layer_weights, [(5, 4), (4, 3)]):
+    for w, (fan_in, fan_out) in zip(weights(p), [(5, 4), (4, 3)]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         assert np.array_equal(w, rng.uniform(-bound, bound,
                                              size=(fan_in, fan_out)))
@@ -64,19 +65,19 @@ def test_layers_are_views_of_the_vector_in_layout_order():
     # layer by layer: row-major weights, then biases
     assert np.array_equal(p.vector, [0, 1, 2, 3, 4, 5, 6, 7,
                                      0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
-    assert np.array_equal(p.layer_weights[1], np.arange(8).reshape(2, 4))
-    assert np.array_equal(p.layer_biases[0], [6, 7])
-    p.layer_weights[0][2, 1] = -1.0
-    p.layer_biases[1][0] = -2.0
+    assert np.array_equal(weights(p)[1], np.arange(8).reshape(2, 4))
+    assert np.array_equal(biases(p)[0], [6, 7])
+    weights(p)[0][2, 1] = -1.0
+    biases(p)[1][0] = -2.0
     assert p.vector[5] == -1.0 and p.vector[16] == -2.0
 
 
 def test_cohort_layers_carry_the_learner_axis():
     p = init_params((3, 2, 4), substream(2, "cohort"))
     stack = ModelParams(np.stack([p.vector, 2 * p.vector]), p.architecture)
-    assert [w.shape for w in stack.layer_weights] == [(2, 3, 2), (2, 2, 4)]
-    assert [b.shape for b in stack.layer_biases] == [(2, 2), (2, 4)]
-    assert np.array_equal(stack.layer_weights[1][1], 2 * p.layer_weights[1])
+    assert [w.shape for w in weights(stack)] == [(2, 3, 2), (2, 2, 4)]
+    assert [b.shape for b in biases(stack)] == [(2, 2), (2, 4)]
+    assert np.array_equal(weights(stack)[1][1], 2 * weights(p)[1])
 
 
 def test_weights_then_biases_positions():
@@ -165,7 +166,7 @@ def test_gradient_zero_params_balanced_bias_grad():
     params = make_params([np.zeros((4, 10))], [np.zeros(10)])
     batch = balanced_batch(40, 4)  # 4 samples of every class
     g = gradient(params, batch)
-    assert np.allclose(g.layer_biases[-1], 0.0, atol=1e-12)
+    assert np.allclose(biases(g)[-1], 0.0, atol=1e-12)
 
 
 def test_gradient_duplication_invariance():
@@ -190,8 +191,8 @@ def test_sgd_hand_case():
     p = make_params([[[1.0]]], [[1.0]])
     g = make_params([[[1.0]]], [[1.0]])
     out = sgd_step(p, g, 0.1)
-    assert out.layer_weights[0][0, 0] == pytest.approx(0.9)
-    assert out.layer_biases[0][0] == pytest.approx(0.9)
+    assert weights(out)[0][0, 0] == pytest.approx(0.9)
+    assert biases(out)[0][0] == pytest.approx(0.9)
 
 
 def test_sgd_steps_compose_linearly():
@@ -254,19 +255,6 @@ def test_local_train_rejects_bad_batch_size():
 # -- cohort training -----------------------------------------------------------
 
 
-def solo_reference(start, shard, rounds, eta, batch_size, rng):
-    """Per-learner minibatch SGD, one minibatch at a time."""
-    params = start
-    n = len(shard)
-    for _ in range(rounds):
-        order = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            idx = order[lo:lo + batch_size]
-            mb = LabeledBatch(shard.inputs[idx], shard.labels[idx])
-            params = sgd_step(params, gradient(params, mb), eta)
-    return params, cross_entropy(params, shard)
-
-
 def random_shard(n, dim, seed):
     rng = substream(seed, "cohort-shard")
     return LabeledBatch(rng.standard_normal((n, dim)),
@@ -282,7 +270,7 @@ def check_cohort(arch, sizes, batch_size, rounds=2, eta=0.05,
               for i, n in enumerate(sizes)]
     rngs = lambda: [substream(seed, "perm", i) for i in range(len(sizes))]
     got = train_cohort(starts, shards, rngs(), rounds, eta, batch_size)
-    want = [solo_reference(*args, rounds, eta, batch_size, rng)
+    want = [solo_sgd(*args, rounds, eta, batch_size, rng)
             for args, rng in zip(zip(starts, shards), rngs())]
     assert len(got) == len(want)
     for (gp, gl), (wp, wl) in zip(got, want):
@@ -381,7 +369,7 @@ def test_cohort_matches_solo_bit_for_bit_from_degenerate_starts(start):
     rngs = lambda: [substream(32, "edge", i) for i in range(3)]
     with np.errstate(all="ignore"):
         got = train_cohort(starts, shards, rngs(), 2, 0.05, 16)
-        want = [solo_reference(p, shard, 2, 0.05, 16, rng)
+        want = [solo_sgd(p, shard, 2, 0.05, 16, rng)
                 for p, shard, rng in zip(starts, shards, rngs())]
     assert [as_bytes(r) for r in got] == [as_bytes(r) for r in want]
     assert np.all(np.isfinite(got[0][0].vector))
@@ -410,7 +398,7 @@ def test_cohort_results_share_no_memory(rounds):
     out = train_cohort(starts, shards, rngs, rounds, 0.1, 8)
 
     def arrays(params):
-        return params.layer_weights + params.layer_biases
+        return weights(params) + biases(params)
 
     held = [a for start in starts for a in arrays(start)]
     for i, (params, _) in enumerate(out):
@@ -515,7 +503,7 @@ def test_gradient_matches_plain_two_dimensional_backprop():
     # the rank-generic kernel against the textbook 2-d form, bit for bit
     params = init_params((8, 6, 5, 10), substream(8, "grad"))
     batch = random_shard(13, 8, 9)
-    w, b = params.layer_weights, params.layer_biases
+    w, b = weights(params), biases(params)
     acts = [batch.inputs]
     for i in range(3):
         z = acts[-1] @ w[i] + b[i]
@@ -526,8 +514,8 @@ def test_gradient_matches_plain_two_dimensional_backprop():
     delta /= 13
     got = gradient(params, batch)
     for i in (2, 1, 0):
-        assert np.array_equal(got.layer_weights[i], acts[i].T @ delta)
-        assert np.array_equal(got.layer_biases[i], delta.sum(axis=0))
+        assert np.array_equal(weights(got)[i], acts[i].T @ delta)
+        assert np.array_equal(biases(got)[i], delta.sum(axis=0))
         delta = (delta @ w[i].T) * (acts[i] > 0.0)
 
 
@@ -563,8 +551,8 @@ def test_params_mean_of_zero_and_one():
     zero = make_params([np.zeros((2, 2))], [np.zeros(2)])
     one = make_params([np.ones((2, 2))], [np.ones(2)])
     mean = params_mean([zero, one])
-    assert np.allclose(mean.layer_weights[0], 0.5)
-    assert np.allclose(mean.layer_biases[0], 0.5)
+    assert np.allclose(weights(mean)[0], 0.5)
+    assert np.allclose(biases(mean)[0], 0.5)
 
 
 def test_params_mean_identical_models_fixed_point():
@@ -576,7 +564,7 @@ def test_params_combine_hand_case():
     a = make_params([np.full((2, 2), 2.0)], [np.full(2, 2.0)])
     b = make_params([np.full((2, 2), 4.0)], [np.full(2, 4.0)])
     out = params_combine(0.25, a, 0.75, b)
-    assert np.allclose(out.layer_weights[0], 3.5)
+    assert np.allclose(weights(out)[0], 3.5)
 
 
 def test_params_axpy_shape_mismatch():
