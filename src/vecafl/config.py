@@ -183,19 +183,31 @@ SAMPLE_BUDGET = ("the vehicle shards (shard_size each, bad_vehicle's cut to "
                  "+ eval_size")
 
 
+def _bad_shard_size(cfg: SimConfig) -> int:
+    """The degraded vehicle's rows: ``shard_size`` divided by
+    ``bad_shard_divisor``, at least one."""
+    return max(1, cfg.shard_size // cfg.bad_shard_divisor)
+
+
 def shard_sizes(cfg: SimConfig) -> list:
     """Rows of each vehicle's shard: ``shard_size``, but the degraded
-    vehicle's is divided by ``bad_shard_divisor`` and keeps at least one."""
+    vehicle's is ``_bad_shard_size``."""
     sizes = [cfg.shard_size] * cfg.vehicle_count
     if cfg.bad_vehicle >= 0:
-        sizes[cfg.bad_vehicle] = max(1, cfg.shard_size
-                                     // cfg.bad_shard_divisor)
+        sizes[cfg.bad_vehicle] = _bad_shard_size(cfg)
     return sizes
 
 
 def samples_needed(cfg: SimConfig) -> int:
-    """Dataset rows the vehicle shards, trusted shard and eval pool take."""
-    return sum(shard_sizes(cfg)) + cfg.rsu_shard_size + cfg.eval_size
+    """Dataset rows the vehicle shards, trusted shard and eval pool take.
+
+    The sum of ``shard_sizes``, counted without listing a shard per
+    vehicle, so that validating a huge ``vehicle_count`` allocates nothing.
+    """
+    vehicles = cfg.shard_size * cfg.vehicle_count
+    if cfg.bad_vehicle >= 0:
+        vehicles += _bad_shard_size(cfg) - cfg.shard_size
+    return vehicles + cfg.rsu_shard_size + cfg.eval_size
 
 
 def validate_config(cfg: SimConfig) -> SimConfig:

@@ -31,6 +31,12 @@ def test_default_sample_budget_counts_the_degraded_shard_cut():
     validate_config(replace(cfg, dataset_size=5150))
     with pytest.raises(ConfigError, match="dataset_size"):
         validate_config(replace(cfg, dataset_size=5149))
+    for bad in (-1, 0, 3):
+        small = replace(cfg, shard_size=7, vehicle_count=4, bad_vehicle=bad)
+        assert samples_needed(small) == sum(shard_sizes(small)) + 900
+    # counted, not listed: a shard list this long could not be allocated
+    with pytest.raises(ConfigError, match="dataset_size"):
+        validate_config(replace(cfg, vehicle_count=10 ** 15))
 
 
 def test_round_trip_preserves_every_field(tmp_path):
