@@ -12,7 +12,10 @@ ablations on 16x12 nets, and ``ddafl_train_wide`` at the default 400x300
 widths and minibatch of 64, whose agent products are large enough for
 OpenBLAS to split over threads; the package pins BLAS to one thread.
 Every cell also freezes its whole metrics rows (``<cell>_rows``): the
-slot-0 episode summaries and the columns the per-slot entries leave out.
+slot-0 episode summaries and the columns the per-slot entries leave out;
+and the world digest of each deployment episode (``<cell>_digests``),
+which no output file carries, so that a change in what the environment
+draws or how ``World`` folds it into its hash shows here.
 
 Regenerate (only when a change of results is intended and explained):
 
@@ -104,6 +107,11 @@ def net_values(cell: str) -> dict:
     return out
 
 
+def digest_values(cell: str) -> list:
+    """The world digest of each deployment episode."""
+    return list(run_cell(cell).test_digests)
+
+
 def _same(got, want) -> bool:
     if isinstance(want, float) and math.isnan(want):
         return isinstance(got, float) and math.isnan(got)
@@ -135,6 +143,11 @@ def test_metrics_rows_match_frozen_reference(cell):
             same = gv == wv if isinstance(wv, int) else _same(gv, wv)
             assert same, f"row {i} (episode {g[0]}, slot {g[1]}): " \
                          f"{name} {gv!r} != {wv!r}"
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_world_digests_match_frozen_reference(cell):
+    assert digest_values(cell) == _golden()[f"{cell}_digests"]
 
 
 def test_trained_nets_match_frozen_reference():
@@ -174,6 +187,8 @@ if __name__ == "__main__":
     blocks += [f' "{cell}_nets": ' + json.dumps(net_values(cell),
                                                  sort_keys=True)
                for cell in TRAINED]
+    blocks += [f' "{cell}_digests": ' + json.dumps(digest_values(cell))
+               for cell in sorted(CELLS)]
     blocks += [f' "{cell}_rows": [\n  '
                + ",\n  ".join(json.dumps(row) for row in row_values(cell))
                + "\n ]" for cell in sorted(CELLS)]
