@@ -8,8 +8,10 @@ side: the six schemes at the default config with ``train_episodes = 20``,
 seed 3, and a ``class_flip`` sweep over tampered fractions 0, 0.2 and 0.4.
 Each cell also writes its world digests (``test_digests.txt`` for a
 scheme, the training digests for the sweep), so a change in what the
-environment draws shows even where no output file carries it.  Every file
-is compared by sha256.  Exits 0 when all are byte-identical and 1 naming
+environment draws shows even where no output file carries it, and
+``rows.txt``, the ``repr`` of every metrics row, whose floats keep all 17
+digits where ``metrics.csv`` prints nine: a sum taken in another order
+shows there.  Every file is compared by sha256.  Exits 0 when all are byte-identical and 1 naming
 every file that differs or exists on one side only; 2 when a run fails.
 """
 
@@ -33,18 +35,23 @@ from dataclasses import replace
 from vecafl.config import SimConfig
 from vecafl.harness import attack_sweep, run_experiment
 
+def dump(cell, name, lines):
+    with open(os.path.join(cell, name), "w") as fh:
+        fh.write("".join(line + "\\n" for line in lines))
+
 out = sys.argv[1]
 cfg = replace(SimConfig(), train_episodes=20)
 for scheme in ("ddafl", "ddafl_no_defense", "ddafl_no_lt", "ddafl_no_ct",
                "plain_afl", "sync_fl"):
     cell = os.path.join(out, scheme)
     res = run_experiment(scheme, cfg, 3, cell)
-    with open(os.path.join(cell, "test_digests.txt"), "w") as fh:
-        fh.write("\\n".join(res.test_digests) + "\\n")
+    dump(cell, "test_digests.txt", res.test_digests)
+    dump(cell, "rows.txt", map(repr, res.rows))
 cell = os.path.join(out, "sweep-class_flip")
-_, _, train_res = attack_sweep(cfg, 3, (0.0, 0.2, 0.4), "class_flip", cell)
-with open(os.path.join(cell, "train_digests.txt"), "w") as fh:
-    fh.write("\\n".join(train_res.digests) + "\\n")
+_, rows, train_res = attack_sweep(cfg, 3, (0.0, 0.2, 0.4), "class_flip",
+                                  cell)
+dump(cell, "train_digests.txt", train_res.digests)
+dump(cell, "rows.txt", map(repr, rows))
 """
 
 
