@@ -51,21 +51,10 @@ class LinkBudget:
                 raise ValueError(f"{field} must be positive")
 
 
-@dataclass
-class ChannelState:
-    """Per-vehicle fading state carried between slots.
-
-    gain  complex small-scale gain, unit second moment in steady state
-    rho   slot-to-slot correlation of the gain process
-    """
-
-    gain: complex
-    rho: float
-
-
-def advance_position(start_x: float, speed: float, slot_index: int,
-                     slot_duration: float) -> float:
-    """Lane coordinate after ``slot_index`` whole slots of constant speed."""
+def advance_position(start_x, speed: float, slot_index: int,
+                     slot_duration: float):
+    """Lane coordinate after ``slot_index`` whole slots of constant speed;
+    ``start_x`` is a float or an array of them."""
     if slot_index < 0:
         raise ValueError("slot_index must be nonnegative")
     if slot_duration <= 0.0:
@@ -159,18 +148,15 @@ def complex_gaussian(rng: np.random.Generator) -> complex:
     return complex(re, im) / math.sqrt(2.0)
 
 
-def evolve_channel(state: ChannelState, innovation: complex) -> ChannelState:
-    """One autoregressive step of the gain.
+def evolve_gain(gain: complex, rho: float, innovation: complex) -> complex:
+    """One autoregressive step of the complex gain at correlation ``rho``.
 
     gain' = rho * gain + innovation * sqrt(1 - rho^2); unit innovation power
-    keeps the gain's second moment at one for any |rho| <= 1.  The caller
-    refreshes rho from the new vehicle position before the next step.
+    keeps the gain's second moment at one for any |rho| <= 1.
     """
-    rho = state.rho
     if abs(rho) > 1.0:
         raise ValueError("correlation magnitude cannot exceed one")
-    new_gain = rho * state.gain + innovation * math.sqrt(1.0 - rho * rho)
-    return ChannelState(gain=new_gain, rho=rho)
+    return rho * gain + innovation * math.sqrt(1.0 - rho * rho)
 
 
 def transmission_rate(link: LinkBudget, gain: complex,

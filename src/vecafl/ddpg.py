@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import BLAS_THREADS
-from .config import SimConfig, config_hash
+from .config import SimConfig, config_hash, validate_config
 from .engine import run_phase
 # evaluate is unused here but stays bound: perfbench's slot clock patches it
 from .model import (ModelParams, backprop_from_logits, evaluate,
@@ -25,16 +25,6 @@ from .model import (ModelParams, backprop_from_logits, evaluate,
                     params_combine, params_copy, save_params, sgd_step)
 from .rng import substream
 from .world import World
-
-
-@dataclass
-class SystemState:
-    """Raw per-vehicle observations for one slot."""
-
-    rates: np.ndarray         # uplink rates, bit/s
-    computes: np.ndarray      # CPU draws, Hz
-    positions: np.ndarray     # lane coordinates, m
-    prev_action: np.ndarray   # selection weights from the previous slot
 
 
 @dataclass
@@ -112,19 +102,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_state(world: World, prev_action: np.ndarray) -> SystemState:
-    return SystemState(world.rates(), world.computes(), world.positions(),
-                       np.asarray(prev_action, dtype=float).copy())
-
-
-def state_vector(state: SystemState, cfg: SimConfig) -> np.ndarray:
-    """Flatten to 4K entries with every block scaled into [0, 1]."""
+def state_vector(world: World, prev_action: np.ndarray,
+                 cfg: SimConfig) -> np.ndarray:
+    """The agent's observation of the slot: the world's uplink rates, CPU
+    draws and lane positions, then the previous selection weights, 4K
+    entries with every block scaled into [0, 1]."""
     rate_scale = cfg.rate_norm_mult * cfg.bandwidth_hz
-    rates = np.clip(state.rates / rate_scale, 0.0, 1.0)
-    computes = np.clip(state.computes / cfg.compute_max_hz, 0.0, 1.0)
-    pos = np.clip((state.positions / cfg.coverage_radius_m + 1.0) / 2.0,
+    rates = np.clip(world.rates() / rate_scale, 0.0, 1.0)
+    computes = np.clip(world.computes() / cfg.compute_max_hz, 0.0, 1.0)
+    pos = np.clip((world.positions() / cfg.coverage_radius_m + 1.0) / 2.0,
                   0.0, 1.0)
-    return np.concatenate([rates, computes, pos, state.prev_action])
+    return np.concatenate([rates, computes, pos,
+                           np.asarray(prev_action, dtype=float)])
 
 
 def actor_forward(actor: ModelParams, svec: np.ndarray) -> np.ndarray:
@@ -250,6 +239,7 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
     update that leaves the critic's loss, the critic or the actor
     non-finite raises ``TrainingDiverged``.
     """
+    validate_config(cfg)
     k = cfg.vehicle_count
     nets = init_agent(cfg, seed)
     replay = ReplayBuffer(cfg.replay_capacity, 4 * k, k)
@@ -262,14 +252,14 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
         nonlocal svec
         if world.slot == 0:
             noise.reset()
-            svec = state_vector(build_state(world, prev_action), cfg)
+            svec = state_vector(world, prev_action, cfg)
         weights = np.clip(actor_forward(nets.actor, svec)
                           + noise.sample(noise_rng), cfg.action_floor, 1.0)
         return weights, binarize_action(weights)
 
     def observe(world: World, weights: np.ndarray, res):
         nonlocal svec
-        next_svec = state_vector(build_state(world, weights), cfg)
+        next_svec = state_vector(world, weights, cfg)
         replay.push(svec, weights, res.reward, next_svec)
         svec = next_svec
         if len(replay) > cfg.replay_batch:
@@ -310,7 +300,7 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
 def greedy_select(actor: ModelParams, cfg: SimConfig):
     """Noise-free deployment callback for the phase runner."""
     def select(world: World, prev_action: np.ndarray):
-        svec = state_vector(build_state(world, prev_action), cfg)
+        svec = state_vector(world, prev_action, cfg)
         weights = np.clip(actor_forward(actor, svec), cfg.action_floor, 1.0)
         return weights, binarize_action(weights)
     return select

@@ -163,13 +163,12 @@ def _local_updates(world: World, vids, snapshot: ModelParams,
         trusted_model.params, trusted_loss = trained.pop()
     updates, delays, skipped = [], {}, []
     for vid, batch, (params, loss) in zip(vids, shards, trained):
-        veh = world.vehicles[vid]
-        if veh.bad:
+        if vid == cfg.bad_vehicle:
             params = degrade_bad_node(params, cfg.bad_noise_scale,
                                       world.degrade_rng(vid))
             loss = cross_entropy(params, batch)
         t_l = local_delay(int(counts[vid]), cfg.cycles_per_sample,
-                          veh.compute_hz)
+                          float(world.compute_hz[vid]))
         t_u = upload_delay(cfg.model_bits, float(rates[vid]))
         delays[vid] = (t_l, t_u)
         if math.isfinite(t_u):
@@ -209,20 +208,18 @@ def _slot_result(updates, delays, skipped, accepted, reasons,
 
 def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
                  trusted_model: GlobalModel, cfg: SimConfig, *,
-                 defense_on: bool, lt_weight_on: bool = True,
+                 lt_weight_on: bool = True,
                  ct_weight_on: bool = True) -> SlotResult:
     """One asynchronous round over the selected vehicles.
 
     All selected vehicles start from the global model as it stood at the
     head of the slot; their weighted uploads are applied sequentially in
-    arrival order with id as the tie-break.  When ``defense_on``, each
-    upload must pass the trusted-loss threshold before it touches the
-    global model (a trusted model is then required).  An upload with a
-    non-finite loss or parameter is rejected either way, and the slot's
-    mean loss and delay leave it out.
+    arrival order with id as the tie-break.  With a ``trusted_model`` (the
+    defended schemes), each upload must pass the trusted-loss threshold
+    before it touches the global model; with None, nothing is screened by
+    loss.  An upload with a non-finite loss or parameter is rejected either
+    way, and the slot's mean loss and delay leave it out.
     """
-    if defense_on and trusted_model is None:
-        raise ValueError("defense needs a trusted model")
     if not world.rsu_batch_intact():
         raise TrustedShardError("trusted shard was tampered with")
 
@@ -243,7 +240,7 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
     accepted, audit, reasons = [], [], {}
     filter_calls = 0
     for vid, weighted, loss, _ in _finite_only(uploads, reasons):
-        if defense_on:
+        if trusted_model is not None:
             filter_calls += 1
             if not threshold_accept(loss, trusted_loss,
                                     cfg.loss_ratio_limit):
@@ -272,7 +269,7 @@ def sync_round(world: World, global_model: GlobalModel,
     once the slowest upload is in.
     """
     updates, delays, skipped, _ = _local_updates(
-        world, [veh.vid for veh in world.vehicles], global_model.params, cfg)
+        world, range(cfg.vehicle_count), global_model.params, cfg)
     reasons = {}
     folded = _finite_only(updates, reasons)
     if folded:
@@ -354,7 +351,6 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
             else:
                 res = run_afl_slot(world, np.flatnonzero(mask),
                                    global_model, trusted_model, cfg,
-                                   defense_on=defense_on,
                                    lt_weight_on=lt_weight_on,
                                    ct_weight_on=ct_weight_on)
             res.episode, res.slot = episode, slot

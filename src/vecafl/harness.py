@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import ddpg
-from .config import SimConfig, config_hash, save_config
+from .config import SimConfig, config_hash, save_config, validate_config
 from .engine import run_phase
 from .world import World, build_dataset
 
@@ -166,6 +166,7 @@ def run_experiment(scheme: str, cfg: SimConfig, seed: int,
     ``out_dir/metrics.csv`` when a directory is given, together with the
     resolved config and, for learned schemes, the policy checkpoint.
     """
+    validate_config(cfg)
     flags = _scheme_flags(scheme)
     cfg_hash = config_hash(cfg)
     dataset = build_dataset(cfg, seed)
@@ -221,6 +222,7 @@ def attack_sweep(cfg: SimConfig, seed: int, fractions, attack_kind: str,
     environment realisations.  Returns the per-cell summaries plus all
     metrics rows.
     """
+    validate_config(cfg)
     if attack_kind not in ("class_flip", "data_flip"):
         raise ValueError("attack_kind must be class_flip or data_flip")
     base = replace(cfg, attack="none", attacked_vehicles=())

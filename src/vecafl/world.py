@@ -1,5 +1,9 @@
 """Per-episode simulation state: vehicles, their shards, channels, CPUs.
 
+A ``World`` keeps each per-vehicle quantity in one array indexed by vehicle
+id: start and current lane coordinates, complex channel gains, CPU draws,
+and the list of data shards.
+
 Every random quantity is drawn from a named substream of the run seed, and
 the environment streams (partition, positions, fading, compute draws) are
 kept apart from the training streams.  Two runs with the same seed therefore
@@ -11,29 +15,17 @@ can assert that two schemes really did face the same world.
 """
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .channel import (ChannelState, LinkBudget, Position3, advance_position,
+from .channel import (LinkBudget, Position3, advance_position,
                       channel_correlation, complex_gaussian,
                       cos_bearing_angle, distance_to_antenna, doppler_freq,
-                      evolve_channel, transmission_rate)
+                      evolve_gain, transmission_rate)
 from .config import SAMPLE_BUDGET, SimConfig, samples_needed, shard_sizes
 from .data import DataShard, LabeledBatch, partition, synthetic_blobs, load_csv
 from .rng import substream
-
-
-@dataclass
-class VehicleSim:
-    vid: int
-    start_x: float
-    x: float
-    channel: ChannelState
-    compute_hz: float
-    shard: DataShard
-    bad: bool
 
 
 def build_dataset(cfg: SimConfig, seed: int) -> LabeledBatch:
@@ -135,27 +127,23 @@ class World:
         self._rsu_digest = self._batch_digest(rsu_batch)
 
         pos_rng = substream(seed, "world", phase, episode, "positions")
-        starts = pos_rng.uniform(cfg.start_x_min_m, cfg.start_x_max_m,
-                                 size=cfg.vehicle_count)
+        self.start_x = pos_rng.uniform(cfg.start_x_min_m, cfg.start_x_max_m,
+                                       size=cfg.vehicle_count)
+        self.x = self.start_x.copy()
         self._compute_rng = substream(seed, "world", phase, episode, "compute")
         self._channel_rngs = [
             substream(seed, "world", phase, episode, "channel", vid)
             for vid in range(cfg.vehicle_count)]
+        self.gains = np.array([complex_gaussian(rng)
+                               for rng in self._channel_rngs], dtype=complex)
 
         a = (cfg.compute_min_hz - cfg.compute_mean_hz) / cfg.compute_std_hz
         b = (cfg.compute_max_hz - cfg.compute_mean_hz) / cfg.compute_std_hz
         self._compute_cut = (a, b, _log_gauss_mass(a, b))
-        computes = self._draw_computes()
-        self.vehicles = []
-        for vid in range(cfg.vehicle_count):
-            x = float(starts[vid])
-            state = ChannelState(complex_gaussian(self._channel_rngs[vid]),
-                                 self._rho_at(x))
-            self.vehicles.append(VehicleSim(vid, x, x, state,
-                                            float(computes[vid]),
-                                            DataShard(shards[vid]),
-                                            vid == cfg.bad_vehicle))
-            self._hash.update(shards[vid].labels.tobytes())
+        self.compute_hz = self._draw_computes()
+        self.shards = [DataShard(shard) for shard in shards]
+        for shard in shards:
+            self._hash.update(shard.labels.tobytes())
         self._hash.update(rsu_batch.labels.tobytes())
         self._hash.update(self.eval_batch.labels.tobytes())
         self._fold_slot_draws()
@@ -202,48 +190,46 @@ class World:
     def advance(self) -> None:
         """Move one slot: positions, fading and CPU draws all refresh."""
         self.slot += 1
-        for veh in self.vehicles:
-            veh.x = advance_position(veh.start_x, self.cfg.speed_mps,
-                                     self.slot, self.cfg.slot_seconds)
-            veh.channel = evolve_channel(
-                ChannelState(veh.channel.gain, self._rho_at(veh.x)),
-                complex_gaussian(self._channel_rngs[veh.vid]))
-        computes = self._draw_computes()
-        for veh, mu in zip(self.vehicles, computes):
-            veh.compute_hz = float(mu)
+        self.x = advance_position(self.start_x, self.cfg.speed_mps,
+                                  self.slot, self.cfg.slot_seconds)
+        for vid, x in enumerate(self.x.tolist()):
+            self.gains[vid] = evolve_gain(
+                complex(self.gains[vid]), self._rho_at(x),
+                complex_gaussian(self._channel_rngs[vid]))
+        self.compute_hz = self._draw_computes()
         self._fold_slot_draws()
 
     def rates(self) -> np.ndarray:
         out = np.empty(self.cfg.vehicle_count)
-        for veh in self.vehicles:
-            dist = distance_to_antenna(self._vehicle_position(veh.x),
+        for vid, (x, gain) in enumerate(zip(self.x.tolist(),
+                                            self.gains.tolist())):
+            dist = distance_to_antenna(self._vehicle_position(x),
                                        self.antenna)
-            out[veh.vid] = transmission_rate(self.link, veh.channel.gain,
-                                             dist)
+            out[vid] = transmission_rate(self.link, gain, dist)
         return out
 
     def computes(self) -> np.ndarray:
-        return np.array([v.compute_hz for v in self.vehicles])
+        return self.compute_hz
 
     def positions(self) -> np.ndarray:
-        return np.array([v.x for v in self.vehicles])
+        return self.x
 
     def data_counts(self) -> np.ndarray:
-        return np.array([len(v.shard.batch) for v in self.vehicles])
+        return np.array([len(shard.batch) for shard in self.shards])
 
     # -- data views ---------------------------------------------------------
 
     def set_attacks(self, attacked_ids, kind: str) -> None:
         for vid in attacked_ids:
-            self.vehicles[vid].shard.attack = kind
-            self.vehicles[vid].shard.attacked = None
+            self.shards[vid].attack = kind
+            self.shards[vid].attacked = None
         self._hash.update(("attack:" + kind + ":"
                            + ",".join(str(v) for v in sorted(attacked_ids)))
                           .encode())
 
     def training_batch(self, vid: int) -> LabeledBatch:
         """What the vehicle trains on this slot, tampering included."""
-        shard = self.vehicles[vid].shard
+        shard = self.shards[vid]
         if shard.attack != "none" and not self.cfg.attack_persistent \
                 and self.slot % 2 == 1:
             return shard.batch  # transient tampering skips odd slots
@@ -263,11 +249,8 @@ class World:
     # -- realisation digest ---------------------------------------------------
 
     def _fold_slot_draws(self) -> None:
-        self._hash.update(np.array([v.x for v in self.vehicles]).tobytes())
-        gains = np.array([v.channel.gain for v in self.vehicles],
-                         dtype=complex)
-        self._hash.update(gains.tobytes())
-        self._hash.update(self.computes().tobytes())
+        for draws in (self.x, self.gains, self.compute_hz):
+            self._hash.update(draws.tobytes())
 
     def digest(self) -> str:
         """Hash of everything the environment has drawn so far."""

@@ -18,11 +18,10 @@ import numpy as np
 import pytest
 
 from vecafl import ddpg
-from vecafl.channel import (ChannelState, LinkBudget, Position3,
-                            advance_position, bessel_j0, channel_correlation,
-                            complex_gaussian, cos_bearing_angle,
-                            distance_to_antenna, doppler_freq, evolve_channel,
-                            transmission_rate)
+from vecafl.channel import (LinkBudget, Position3, advance_position,
+                            bessel_j0, channel_correlation, complex_gaussian,
+                            cos_bearing_angle, distance_to_antenna,
+                            doppler_freq, evolve_gain, transmission_rate)
 from vecafl.config import SimConfig
 from vecafl.ddpg import (AgentNets, OUNoise, actor_forward, actor_update,
                          critic_forward, critic_update, soft_update)
@@ -175,10 +174,10 @@ def _kernel_oracle_errors():
         track("correlation", _mp_rel(channel_correlation(fd, cd), corr_o))
 
         rho = rng.uniform(-0.99, 0.99)
-        state = ChannelState(complex_gaussian(rng), rho)
+        gain = complex_gaussian(rng)
         inn = complex_gaussian(rng)
-        new_gain = evolve_channel(state, inn).gain
-        gain_o = (mpf(rho) * mpc(state.gain.real, state.gain.imag)
+        new_gain = evolve_gain(gain, rho, inn)
+        gain_o = (mpf(rho) * mpc(gain.real, gain.imag)
                   + mpc(inn.real, inn.imag)
                   * mpmath.sqrt(1 - mpf(rho) ** 2))
         track("evolution", float(abs(mpc(new_gain.real, new_gain.imag)
@@ -274,12 +273,11 @@ def test_criterion2_fading_statistics():
     steps = 100_000
     fails, summary = [], []
     for rho in (0.9, 0.5, 0.2, -0.3):
-        state = ChannelState(complex_gaussian(rng), rho)
         gains = np.empty(steps + 1, dtype=complex)
-        gains[0] = state.gain
+        gains[0] = gain = complex_gaussian(rng)
         for t in range(1, steps + 1):
-            state = evolve_channel(state, complex_gaussian(rng))
-            gains[t] = state.gain
+            gain = evolve_gain(gain, rho, complex_gaussian(rng))
+            gains[t] = gain
         power = np.abs(gains) ** 2
         second_moment = float(np.mean(power))
         lag1 = float(np.real(np.sum(gains[1:] * np.conj(gains[:-1])))

@@ -10,19 +10,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from vecafl.channel import (ChannelState, DegenerateGeometryError, LinkBudget,
-                            Position3, advance_position, bessel_j0,
-                            channel_correlation, complex_gaussian,
-                            cos_bearing_angle, distance_to_antenna,
-                            doppler_freq, evolve_channel, transmission_rate)
+from vecafl.channel import (DegenerateGeometryError, LinkBudget, Position3,
+                            advance_position, bessel_j0, channel_correlation,
+                            complex_gaussian, cos_bearing_angle,
+                            distance_to_antenna, doppler_freq, evolve_gain,
+                            transmission_rate)
 from vecafl.rng import substream
 
 RSU = Position3(0.0, 0.0, 10.0)
-
-
-def stationary_state(rho, rng):
-    """A fading state whose gain is drawn from the stationary law."""
-    return ChannelState(gain=complex_gaussian(rng), rho=rho)
 
 
 # -- kinematics --------------------------------------------------------------
@@ -144,22 +139,21 @@ def test_correlation_rejects_bad_duration():
 
 
 def test_evolve_perfectly_correlated():
-    state = stationary_state(1.0, substream(3, "chan"))
-    out = evolve_channel(state, complex(0.3, -0.4))
-    assert out.gain == state.gain
+    gain = complex_gaussian(substream(3, "chan"))
+    out = evolve_gain(gain, 1.0, complex(0.3, -0.4))
+    assert out == gain
 
 
 def test_evolve_memoryless():
-    state = stationary_state(0.0, substream(3, "chan"))
-    out = evolve_channel(state, complex(0.3, -0.4))
-    assert out.gain == complex(0.3, -0.4)
+    gain = complex_gaussian(substream(3, "chan"))
+    out = evolve_gain(gain, 0.0, complex(0.3, -0.4))
+    assert out == complex(0.3, -0.4)
 
 
 def test_evolve_rejects_rho_above_one():
-    state = stationary_state(0.0, substream(3, "chan"))
-    state.rho = 1.5
+    gain = complex_gaussian(substream(3, "chan"))
     with pytest.raises(ValueError):
-        evolve_channel(state, complex(0.0, 0.0))
+        evolve_gain(gain, 1.5, complex(0.0, 0.0))
 
 
 def test_ar_trace_lag1_and_variance():
@@ -168,10 +162,10 @@ def test_ar_trace_lag1_and_variance():
     rho = 0.8
     n = 100_000
     gains = np.empty(n, dtype=complex)
-    state = stationary_state(rho, rng)
+    gain = complex_gaussian(rng)   # drawn from the stationary law
     for i in range(n):
-        state = evolve_channel(state, complex_gaussian(rng))
-        gains[i] = state.gain
+        gain = evolve_gain(gain, rho, complex_gaussian(rng))
+        gains[i] = gain
     lag1 = float(np.mean(gains[1:] * np.conj(gains[:-1])).real
                  / np.mean(np.abs(gains) ** 2))
     assert lag1 == pytest.approx(rho, abs=0.02)

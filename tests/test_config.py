@@ -111,7 +111,7 @@ def test_tuple_and_bool_parsing(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("field,value", [
+REJECTED = [
     ("vehicle_count", 0),
     ("model_bits", -5000),
     ("slot_seconds", 0.0),
@@ -134,7 +134,19 @@ def test_tuple_and_bool_parsing(tmp_path):
     ("local_batch", 1001),               # exceeds shard_size
     ("local_lr", -0.1),
     ("action_floor", 0.0),    # every selection weight could clip to 0
-])
+]
+
+
+def _case_id(field, value) -> str:
+    """``<key>-<value>``, a tuple's items joined by commas, so that adding
+    a case renames no other."""
+    text = ",".join(map(str, value)) if isinstance(value, tuple) \
+        else str(value)
+    return f"{field}-{text}"
+
+
+@pytest.mark.parametrize("field,value", REJECTED,
+                         ids=[_case_id(*case) for case in REJECTED])
 def test_validation_rejects(field, value):
     with pytest.raises(ConfigError, match=field.split("_")[0]):
         validate_config(replace(SimConfig(), **{field: value}))

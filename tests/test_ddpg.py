@@ -4,6 +4,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from reference import biases, weights
 import vecafl
 from vecafl import ddpg
 from vecafl.config import SimConfig, validate_config
-from vecafl.ddpg import (AgentNets, OUNoise, ReplayBuffer, SystemState,
-                         actor_forward, actor_update, binarize_action,
-                         build_state, critic_forward, critic_targets,
-                         critic_update, init_agent, soft_update, state_vector)
+from vecafl.ddpg import (AgentNets, OUNoise, ReplayBuffer, actor_forward,
+                         actor_update, binarize_action, critic_forward,
+                         critic_targets, critic_update, init_agent,
+                         soft_update, state_vector)
 from vecafl.engine import compute_reward
 from vecafl.harness import run_experiment
 from vecafl.model import (ModelParams, forward_stack, init_params,
@@ -145,14 +146,16 @@ def test_ou_long_run_variance():
 
 def test_state_vector_layout_and_clipping():
     cfg = validate_config(SimConfig())
-    state = SystemState(rates=np.array([1e12, 0.0, 4e4, -5.0, 2e4]),
-                        computes=np.array([2e9, 3e9, 1e12, 0.0, 2.5e9]),
-                        positions=np.array([-250.0, 0.0, 250.0, 5e4, -5e4]),
-                        prev_action=np.array([0.3, 0.9, 0.01, 1.0, 0.5]))
-    vec = state_vector(state, cfg)
+    # a stand-in world that reports fixed per-vehicle values
+    world = SimpleNamespace(
+        rates=lambda: np.array([1e12, 0.0, 4e4, -5.0, 2e4]),
+        computes=lambda: np.array([2e9, 3e9, 1e12, 0.0, 2.5e9]),
+        positions=lambda: np.array([-250.0, 0.0, 250.0, 5e4, -5e4]))
+    prev_action = np.array([0.3, 0.9, 0.01, 1.0, 0.5])
+    vec = state_vector(world, prev_action, cfg)
     assert vec.shape == (20,)
     assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
-    assert np.allclose(vec[15:], state.prev_action)
+    assert np.allclose(vec[15:], prev_action)
     assert vec[0] == 1.0 and vec[1] == 0.0       # rate clip both ends
     assert vec[7] == 1.0 and vec[8] == 0.0       # compute clip
     assert vec[10] == 0.25 and vec[11] == 0.5    # position affine map
@@ -165,10 +168,12 @@ def test_build_state_copies_action():
     from vecafl.world import World
     world = World(cfg, build_dataset(cfg, 9), 9, "test", 1)
     prev = np.full(3, 0.7)
-    state = build_state(world, prev)
+    vec = state_vector(world, prev, cfg)
     prev[0] = 0.0
-    assert state.prev_action[0] == 0.7
-    assert np.array_equal(state.rates, world.rates())
+    assert vec[9] == 0.7                         # the action block is 3K on
+    rate_scale = cfg.rate_norm_mult * cfg.bandwidth_hz
+    assert np.array_equal(vec[:3],
+                          np.clip(world.rates() / rate_scale, 0.0, 1.0))
 
 
 # -- network heads -------------------------------------------------------------------

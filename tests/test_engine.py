@@ -222,7 +222,7 @@ def test_single_vehicle_single_update():
     ds = build_dataset(cfg, 51)
     world = World(cfg, ds, 51, "test", 1)
     gm = GlobalModel(init_params(cfg.classifier_arch, substream(51, "g")))
-    res = run_afl_slot(world, [1], gm, None, cfg, defense_on=False)
+    res = run_afl_slot(world, [1], gm, None, cfg)
     assert gm.update_count == 1
     assert res.accepted_ids == [1]
     assert res.filter_calls == 0
@@ -233,7 +233,7 @@ def test_uploads_applied_in_arrival_order():
     ds = build_dataset(cfg, 52)
     world = World(cfg, ds, 52, "test", 1)
     gm = GlobalModel(init_params(cfg.classifier_arch, substream(52, "g")))
-    res = run_afl_slot(world, [0, 1, 2], gm, None, cfg, defense_on=False)
+    res = run_afl_slot(world, [0, 1, 2], gm, None, cfg)
     arrivals = [sum(res.delays[v]) for v in res.accepted_ids]
     assert arrivals == sorted(arrivals)
     assert gm.update_count == len(res.accepted_ids)
@@ -244,7 +244,7 @@ def test_slot_reports_match_recomputation():
     ds = build_dataset(cfg, 53)
     world = World(cfg, ds, 53, "test", 1)
     gm = GlobalModel(init_params(cfg.classifier_arch, substream(53, "g")))
-    res = run_afl_slot(world, [0, 1, 2], gm, None, cfg, defense_on=False)
+    res = run_afl_slot(world, [0, 1, 2], gm, None, cfg)
     arrived = sorted(res.reported)
     assert res.avg_loss == pytest.approx(
         np.mean([res.reported[v] for v in arrived]), abs=1e-12)
@@ -259,7 +259,7 @@ def test_slot_train_starts_from_snapshot():
     world = World(cfg, ds, 54, "test", 1)
     start = init_params(cfg.classifier_arch, substream(54, "g"))
     gm = GlobalModel(start)
-    res = run_afl_slot(world, [2], gm, None, cfg, defense_on=False)
+    res = run_afl_slot(world, [2], gm, None, cfg)
     trained, loss = train_cohort([start], [world.training_batch(2)],
                                  [world.train_rng(2)], cfg.local_rounds,
                                  cfg.local_lr, cfg.local_batch)[0]
@@ -277,7 +277,7 @@ def test_stale_weight_log_matches_delays():
     ds = build_dataset(cfg, 55)
     world = World(cfg, ds, 55, "test", 1)
     gm = GlobalModel(init_params(cfg.classifier_arch, substream(55, "g")))
-    res = run_afl_slot(world, [0, 1, 2], gm, None, cfg, defense_on=False)
+    res = run_afl_slot(world, [0, 1, 2], gm, None, cfg)
     for vid, (w_lt, w_ct) in res.stale_weights.items():
         t_l, t_u = res.delays[vid]
         assert w_lt == pytest.approx(
@@ -291,18 +291,9 @@ def test_stale_weight_log_is_one_when_disabled():
     ds = build_dataset(cfg, 56)
     world = World(cfg, ds, 56, "test", 1)
     gm = GlobalModel(init_params(cfg.classifier_arch, substream(56, "g")))
-    res = run_afl_slot(world, [0, 1, 2], gm, None, cfg, defense_on=False,
+    res = run_afl_slot(world, [0, 1, 2], gm, None, cfg,
                        lt_weight_on=False, ct_weight_on=False)
     assert all(w == (1.0, 1.0) for w in res.stale_weights.values())
-
-
-def test_defense_requires_trusted_model():
-    cfg = tiny_cfg()
-    ds = build_dataset(cfg, 57)
-    world = World(cfg, ds, 57, "test", 1)
-    gm = GlobalModel(init_params(cfg.classifier_arch, substream(57, "g")))
-    with pytest.raises(ValueError):
-        run_afl_slot(world, [0], gm, None, cfg, defense_on=True)
 
 
 def test_tampered_trusted_shard_raises():
@@ -313,7 +304,7 @@ def test_tampered_trusted_shard_raises():
     rsu = world.rsu_batch
     world.rsu_batch = LabeledBatch(rsu.inputs, (rsu.labels + 1) % 10)
     with pytest.raises(TrustedShardError):
-        run_afl_slot(world, [0, 1], gm, trusted, cfg, defense_on=True)
+        run_afl_slot(world, [0, 1], gm, trusted, cfg)
     assert gm.update_count == 0
 
 
@@ -332,7 +323,7 @@ def test_trusted_shard_check_survives_optimized_mode():
         "world.rsu_batch = LabeledBatch(rsu.inputs, (rsu.labels + 1) % 10)\n"
         "gm = GlobalModel(init_params(cfg.classifier_arch, substream(1)))\n"
         "try:\n"
-        "    run_afl_slot(world, [], gm, None, cfg, defense_on=False)\n"
+        "    run_afl_slot(world, [], gm, None, cfg)\n"
         "except TrustedShardError:\n"
         "    print('raised')\n")
     src = os.path.dirname(os.path.dirname(vecafl.__file__))
@@ -369,7 +360,7 @@ def fitted_attack_slot(seed, **cfg_overrides):
                           [substream(seed, "fit")], 40, 0.2, 5)[0]
     gm = GlobalModel(params_copy(fit))
     trusted = GlobalModel(params_copy(fit))
-    res = run_afl_slot(world, [0, 1, 2], gm, trusted, cfg, defense_on=True)
+    res = run_afl_slot(world, [0, 1, 2], gm, trusted, cfg)
     return cfg, res, gm
 
 
@@ -427,8 +418,7 @@ def test_defended_slot_accepts_only_losses_within_limit(
         [world.eval_batch], [substream(seed, "fit")], fit_passes, 0.2, 5)[0]
     gm = GlobalModel(params_copy(start))
     trusted = GlobalModel(params_copy(start))
-    res = run_afl_slot(world, sorted(selected), gm, trusted, cfg,
-                       defense_on=True)
+    res = run_afl_slot(world, sorted(selected), gm, trusted, cfg)
     bound = limit * res.trusted_loss
     for vid in res.accepted_ids:
         assert res.reported[vid] <= bound
@@ -471,9 +461,9 @@ def test_nonfinite_upload_is_never_folded(monkeypatch, mode, corrupt):
     if mode == "sync":
         res = engine.sync_round(world, gm, cfg)
     else:
-        trusted = GlobalModel(params_copy(start))
-        res = run_afl_slot(world, [0, 1, 2], gm, trusted, cfg,
-                           defense_on=mode == "afl_defended")
+        trusted = GlobalModel(params_copy(start)) \
+            if mode == "afl_defended" else None
+        res = run_afl_slot(world, [0, 1, 2], gm, trusted, cfg)
     assert sorted(res.reported) == [0, 1, 2]
     assert list(res.reject_reasons) == [1]
     assert res.reject_reasons == {1: engine.NONFINITE}

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from vecafl import ddpg
-from vecafl.config import SimConfig, config_hash, validate_config
+from vecafl.config import (ConfigError, SimConfig, config_hash,
+                           validate_config)
 from vecafl.engine import SlotResult
 from reference import parse_metrics, weights
 from vecafl.harness import (SCHEMES, MetricsRow, _phase_rows, _scheme_flags,
@@ -257,3 +258,19 @@ def test_sweep_cell_order_and_fraction_zero(tmp_path):
 def test_sweep_rejects_unknown_attack():
     with pytest.raises(ValueError):
         attack_sweep(tiny_cfg(), 1, (0.0,), "bitflip")
+
+
+@pytest.mark.parametrize("entry", ["run_experiment", "attack_sweep",
+                                   "train"])
+def test_entry_points_refuse_an_invalid_config(entry):
+    # built with replace, so no loader has validated it; at a zero action
+    # floor this config once reached the slot loop and failed in the reward
+    cfg = replace(SimConfig(), action_floor=0.0, ou_variance=100.0,
+                  train_episodes=2, test_episodes=1)
+    calls = {
+        "run_experiment": lambda: run_experiment("ddafl", cfg, 1),
+        "attack_sweep": lambda: attack_sweep(cfg, 1, (0.0,), "class_flip"),
+        "train": lambda: ddpg.train(cfg, build_dataset(cfg, 1), 1),
+    }
+    with pytest.raises(ConfigError, match="action_floor"):
+        calls[entry]()

@@ -36,13 +36,11 @@ def make_world(seed=101, episode=1, **overrides):
 def test_shard_sizes_equal_without_bad_vehicle():
     world, cfg = make_world()
     assert world.data_counts().tolist() == [40, 40, 40]
-    assert not any(v.bad for v in world.vehicles)
 
 
 def test_bad_vehicle_holds_quarter_shard():
     world, cfg = make_world(bad_vehicle=1)
     assert world.data_counts().tolist() == [40, 10, 40]
-    assert [v.bad for v in world.vehicles] == [False, True, False]
 
 
 def test_rsu_and_eval_sizes():
@@ -155,11 +153,11 @@ def test_package_import_leaves_scipy_stats_out():
 
 def test_advance_moves_at_lane_speed():
     world, cfg = make_world()
-    starts = [v.start_x for v in world.vehicles]
+    starts = world.start_x.tolist()
     for n in range(1, 5):
         world.advance()
-        for vid, veh in enumerate(world.vehicles):
-            assert veh.x == pytest.approx(
+        for vid, x in enumerate(world.positions()):
+            assert x == pytest.approx(
                 starts[vid] + cfg.speed_mps * n * cfg.slot_seconds,
                 abs=1e-12)
 
@@ -167,8 +165,8 @@ def test_advance_moves_at_lane_speed():
 def test_positions_start_inside_configured_span():
     for seed in range(101, 111):
         world, cfg = make_world(seed=seed)
-        for veh in world.vehicles:
-            assert cfg.start_x_min_m <= veh.start_x <= cfg.start_x_max_m
+        for start_x in world.start_x:
+            assert cfg.start_x_min_m <= start_x <= cfg.start_x_max_m
 
 
 def test_rates_shape_and_positivity():
@@ -182,21 +180,21 @@ def test_rates_shape_and_positivity():
 
 def test_channel_gains_change_each_slot():
     world, _ = make_world()
-    before = [v.channel.gain for v in world.vehicles]
+    before = world.gains.tolist()
     world.advance()
-    after = [v.channel.gain for v in world.vehicles]
+    after = world.gains.tolist()
     assert all(a != b for a, b in zip(before, after))
 
 
 def test_set_attacks_flips_training_view_only():
     world, _ = make_world()
     world.set_attacks((1,), "class_flip")
-    clean = world.vehicles[1].shard.batch
+    clean = world.shards[1].batch
     seen = world.training_batch(1)
     assert np.array_equal(seen.labels, 9 - clean.labels)
     assert np.array_equal(seen.inputs, clean.inputs)
     other = world.training_batch(0)
-    assert np.array_equal(other.labels, world.vehicles[0].shard.batch.labels)
+    assert np.array_equal(other.labels, world.shards[0].batch.labels)
     assert world.rsu_batch_intact()
 
 
@@ -204,7 +202,7 @@ def test_data_flip_attack_view():
     world, _ = make_world()
     world.set_attacks((0, 2), "data_flip")
     for vid in (0, 2):
-        clean = world.vehicles[vid].shard.batch
+        clean = world.shards[vid].batch
         seen = world.training_batch(vid)
         assert np.allclose(seen.inputs, 1.0 - clean.inputs)
         assert np.array_equal(seen.labels, clean.labels)
@@ -213,7 +211,7 @@ def test_data_flip_attack_view():
 def test_transient_attack_skips_odd_slots():
     world, _ = make_world(attack_persistent=False)
     world.set_attacks((1,), "class_flip")
-    clean = world.vehicles[1].shard.batch
+    clean = world.shards[1].batch
     assert np.array_equal(world.training_batch(1).labels, 9 - clean.labels)
     world.advance()   # slot 1
     assert np.array_equal(world.training_batch(1).labels, clean.labels)

@@ -11,8 +11,9 @@ scheme, the training digests for the sweep), so a change in what the
 environment draws shows even where no output file carries it, and
 ``rows.txt``, the ``repr`` of every metrics row, whose floats keep all 17
 digits where ``metrics.csv`` prints nine: a sum taken in another order
-shows there.  Every file is compared by sha256.  Exits 0 when all are byte-identical and 1 naming
-every file that differs or exists on one side only; 2 when a run fails.
+shows there.  Every file is compared by sha256.  Exits 0 when all are
+byte-identical and 1 naming every file that differs or exists on one side
+only; 2 when a run fails or the revision cannot be exported.
 """
 
 import argparse
