@@ -14,22 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DegenerateGeometryError(ValueError):
-    """Vehicle and antenna positions coincide; the bearing is undefined."""
-
-
-@dataclass
-class Position3:
-    """Cartesian position in metres."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-
 @dataclass
 class LinkBudget:
     """Static uplink radio constants.
@@ -62,23 +46,20 @@ def advance_position(start_x, speed: float, slot_index: int,
     return start_x + speed * (slot_index * slot_duration)
 
 
-def distance_to_antenna(vehicle: Position3, antenna: Position3) -> float:
-    """Euclidean vehicle-antenna separation in metres."""
-    return float(np.linalg.norm(antenna.as_array() - vehicle.as_array()))
+def lane_geometry(x: np.ndarray, lane_offset: float, antenna_height: float):
+    """Distance to the antenna and bearing cosine at lane coordinates ``x``.
 
-
-def cos_bearing_angle(vehicle: Position3, antenna: Position3) -> float:
-    """Cosine of the angle between the lane direction and the uplink bearing.
-
-    The lane direction is the +x unit vector, so this is the x component of
-    the normalised vehicle-to-antenna vector.  Positive while the vehicle
-    approaches the antenna, negative once it has passed.
+    The lane runs along +x, ``lane_offset`` metres from the foot of an
+    antenna ``antenna_height`` metres up at x = 0.  The bearing cosine is
+    the cosine of the angle between the lane direction and the uplink
+    bearing: positive while a vehicle approaches the antenna, negative once
+    it has passed.  Elementwise arithmetic only, so no BLAS kernel's sum
+    order or fused multiply-add reaches the result.
     """
-    diff = antenna.as_array() - vehicle.as_array()
-    norm = float(np.linalg.norm(diff))
-    if norm == 0.0:
-        raise DegenerateGeometryError("vehicle is at the antenna position")
-    return float(diff[0] / norm)
+    dx = 0.0 - x   # antenna minus vehicle
+    dist = np.sqrt(dx * dx + lane_offset * lane_offset
+                   + antenna_height * antenna_height)
+    return dist, dx / dist
 
 
 def doppler_freq(speed: float, wavelength: float, cos_theta: float) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import ddpg, harness
 from .config import ConfigError, SimConfig, load_config, validate_config
+from .data import ATTACKS
 
 LEARNED = tuple(s for s in harness.SCHEMES if s.startswith("ddafl"))
 # command -> (schemes it runs, default scheme, help)
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="attacked-fraction sweep")
     common(p_sweep)
     p_sweep.add_argument("--attack", required=True,
-                         choices=("class_flip", "data_flip"))
+                         choices=tuple(ATTACKS))
     p_sweep.add_argument("--fractions", default="0,0.2,0.4")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -12,7 +12,6 @@ import numpy as np
 from .model import LabeledBatch, ModelParams, weights_then_biases
 
 NUM_CLASSES = 10
-ATTACK_KINDS = ("none", "class_flip", "data_flip")
 
 
 @dataclass
@@ -116,14 +115,16 @@ def data_flip(batch: LabeledBatch) -> LabeledBatch:
     return LabeledBatch(1.0 - batch.inputs, batch.labels.copy())
 
 
+ATTACKS = {"class_flip": class_flip, "data_flip": data_flip}
+ATTACK_KINDS = ("none", *ATTACKS)
+
+
 def apply_attack(batch: LabeledBatch, kind: str) -> LabeledBatch:
     if kind == "none":
         return batch
-    if kind == "class_flip":
-        return class_flip(batch)
-    if kind == "data_flip":
-        return data_flip(batch)
-    raise ValueError(f"unknown attack kind {kind!r}")
+    if kind not in ATTACKS:
+        raise ValueError(f"unknown attack kind {kind!r}")
+    return ATTACKS[kind](batch)
 
 
 def degrade_bad_node(params: ModelParams, noise_scale: float,

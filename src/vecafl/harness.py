@@ -15,6 +15,7 @@ import numpy as np
 
 from . import ddpg
 from .config import SimConfig, config_hash, save_config, validate_config
+from .data import ATTACKS
 from .engine import run_phase
 from .world import World, build_dataset
 
@@ -223,8 +224,9 @@ def attack_sweep(cfg: SimConfig, seed: int, fractions, attack_kind: str,
     metrics rows.
     """
     validate_config(cfg)
-    if attack_kind not in ("class_flip", "data_flip"):
-        raise ValueError("attack_kind must be class_flip or data_flip")
+    if attack_kind not in ATTACKS:
+        raise ValueError(f"unknown attack kind {attack_kind!r}; pick one of "
+                         f"{tuple(ATTACKS)}")
     base = replace(cfg, attack="none", attacked_vehicles=())
     dataset = build_dataset(base, seed)
     train_res = ddpg.train(base, dataset, seed)

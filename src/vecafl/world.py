@@ -1,8 +1,8 @@
 """Per-episode simulation state: vehicles, their shards, channels, CPUs.
 
 A ``World`` keeps each per-vehicle quantity in one array indexed by vehicle
-id: start and current lane coordinates, complex channel gains, CPU draws,
-and the list of data shards.
+id: start and current lane coordinates, the distance and bearing cosine to
+the antenna, complex channel gains, CPU draws, and the list of data shards.
 
 Every random quantity is drawn from a named substream of the run seed, and
 the environment streams (partition, positions, fading, compute draws) are
@@ -19,10 +19,9 @@ import hashlib
 import numpy as np
 from scipy import special
 
-from .channel import (LinkBudget, Position3, advance_position,
-                      channel_correlation, complex_gaussian,
-                      cos_bearing_angle, distance_to_antenna, doppler_freq,
-                      evolve_gain, transmission_rate)
+from .channel import (LinkBudget, advance_position, channel_correlation,
+                      complex_gaussian, doppler_freq, evolve_gain,
+                      lane_geometry, transmission_rate)
 from .config import SAMPLE_BUDGET, SimConfig, samples_needed, shard_sizes
 from .data import DataShard, LabeledBatch, partition, synthetic_blobs, load_csv
 from .rng import substream
@@ -113,7 +112,6 @@ class World:
         self.phase = phase
         self.episode = episode
         self.slot = 0
-        self.antenna = Position3(0.0, 0.0, cfg.rsu_height_m)
         self.link = LinkBudget(cfg.bandwidth_hz, cfg.tx_power_w,
                                cfg.noise_power_w, cfg.path_loss_exp)
         self._hash = hashlib.sha256()
@@ -130,6 +128,8 @@ class World:
         self.start_x = pos_rng.uniform(cfg.start_x_min_m, cfg.start_x_max_m,
                                        size=cfg.vehicle_count)
         self.x = self.start_x.copy()
+        self.distance, self.cos_bearing = lane_geometry(
+            self.x, cfg.lane_offset_m, cfg.rsu_height_m)
         self._compute_rng = substream(seed, "world", phase, episode, "compute")
         self._channel_rngs = [
             substream(seed, "world", phase, episode, "channel", vid)
@@ -176,37 +176,31 @@ class World:
 
     # -- geometry and channel ---------------------------------------------
 
-    def _vehicle_position(self, x: float) -> Position3:
-        return Position3(x, self.cfg.lane_offset_m, 0.0)
-
-    def _rho_at(self, x: float) -> float:
-        """Slot-to-slot fading correlation at ``x``, from the Doppler shift
-        along the bearing to the antenna."""
-        cos_theta = cos_bearing_angle(self._vehicle_position(x), self.antenna)
-        doppler = doppler_freq(self.cfg.speed_mps, self.cfg.wavelength_m,
-                               cos_theta)
-        return channel_correlation(doppler, self.cfg.slot_seconds)
-
     def advance(self) -> None:
-        """Move one slot: positions, fading and CPU draws all refresh."""
+        """Move one slot: positions, fading and CPU draws all refresh.
+
+        Each gain steps at the fading correlation of the Doppler shift
+        along its vehicle's bearing to the antenna."""
+        cfg = self.cfg
         self.slot += 1
-        self.x = advance_position(self.start_x, self.cfg.speed_mps,
-                                  self.slot, self.cfg.slot_seconds)
-        for vid, x in enumerate(self.x.tolist()):
+        self.x = advance_position(self.start_x, cfg.speed_mps, self.slot,
+                                  cfg.slot_seconds)
+        self.distance, self.cos_bearing = lane_geometry(
+            self.x, cfg.lane_offset_m, cfg.rsu_height_m)
+        for vid, cos_theta in enumerate(self.cos_bearing.tolist()):
+            rho = channel_correlation(
+                doppler_freq(cfg.speed_mps, cfg.wavelength_m, cos_theta),
+                cfg.slot_seconds)
             self.gains[vid] = evolve_gain(
-                complex(self.gains[vid]), self._rho_at(x),
+                complex(self.gains[vid]), rho,
                 complex_gaussian(self._channel_rngs[vid]))
         self.compute_hz = self._draw_computes()
         self._fold_slot_draws()
 
     def rates(self) -> np.ndarray:
-        out = np.empty(self.cfg.vehicle_count)
-        for vid, (x, gain) in enumerate(zip(self.x.tolist(),
-                                            self.gains.tolist())):
-            dist = distance_to_antenna(self._vehicle_position(x),
-                                       self.antenna)
-            out[vid] = transmission_rate(self.link, gain, dist)
-        return out
+        return np.array([transmission_rate(self.link, gain, dist)
+                         for gain, dist in zip(self.gains.tolist(),
+                                               self.distance.tolist())])
 
     def computes(self) -> np.ndarray:
         return self.compute_hz

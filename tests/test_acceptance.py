@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from vecafl import ddpg
-from vecafl.channel import (LinkBudget, Position3, advance_position,
-                            bessel_j0, channel_correlation, complex_gaussian,
-                            cos_bearing_angle, distance_to_antenna,
-                            doppler_freq, evolve_gain, transmission_rate)
+from vecafl.channel import (LinkBudget, advance_position, bessel_j0,
+                            channel_correlation, complex_gaussian,
+                            doppler_freq, evolve_gain, lane_geometry,
+                            transmission_rate)
 from vecafl.config import SimConfig
 from vecafl.ddpg import (AgentNets, OUNoise, actor_forward, actor_update,
                          critic_forward, critic_update, soft_update)
@@ -142,7 +142,6 @@ def _kernel_oracle_errors():
 
     rng = np.random.default_rng(20260817)
     link = LinkBudget()
-    antenna = Position3(0.0, 5.0, 10.0)
     cfg = SimConfig()
     for _ in range(100):
         sx = rng.uniform(-400.0, 100.0)
@@ -153,12 +152,10 @@ def _kernel_oracle_errors():
                                   mpf(sx) + mpf(sp) * (mpf(n) * mpf(dt))))
 
         x = rng.uniform(-480.0, 480.0)
-        vehicle = Position3(x, 0.0, 0.0)
+        dist, cos_theta = lane_geometry(np.array([x]), 5.0, 10.0)
         dist_o = mpmath.sqrt(mpf(x) ** 2 + mpf(5.0) ** 2 + mpf(10.0) ** 2)
-        track("distance", _mp_rel(distance_to_antenna(vehicle, antenna),
-                                  dist_o))
-        track("bearing", _mp_rel(cos_bearing_angle(vehicle, antenna),
-                                 mpf(-x) / dist_o))
+        track("distance", _mp_rel(float(dist[0]), dist_o))
+        track("bearing", _mp_rel(float(cos_theta[0]), mpf(-x) / dist_o))
 
         wl = rng.uniform(2.0, 10.0)
         cos_t = rng.uniform(-1.0, 1.0)

@@ -10,14 +10,18 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from vecafl.channel import (DegenerateGeometryError, LinkBudget, Position3,
-                            advance_position, bessel_j0, channel_correlation,
-                            complex_gaussian, cos_bearing_angle,
-                            distance_to_antenna, doppler_freq, evolve_gain,
+from vecafl.channel import (LinkBudget, advance_position, bessel_j0,
+                            channel_correlation, complex_gaussian,
+                            doppler_freq, evolve_gain, lane_geometry,
                             transmission_rate)
 from vecafl.rng import substream
 
-RSU = Position3(0.0, 0.0, 10.0)
+
+def geometry(x, lane_offset=5.0, antenna_height=10.0):
+    """Distance and bearing cosine of one vehicle at lane coordinate x."""
+    dist, cos_theta = lane_geometry(np.array([x]), lane_offset,
+                                    antenna_height)
+    return float(dist[0]), float(cos_theta[0])
 
 
 # -- kinematics --------------------------------------------------------------
@@ -46,37 +50,33 @@ def test_advance_position_rejects_bad_args():
 
 
 def test_distance_sqrt125():
-    d = distance_to_antenna(Position3(0.0, 5.0, 0.0), RSU)
+    d, _ = geometry(0.0)
     assert d == pytest.approx(11.180339887498948, abs=1e-12)
 
 
 def test_distance_identical_points():
-    assert distance_to_antenna(Position3(0.0, 0.0, 10.0), RSU) == 0.0
+    with np.errstate(invalid="ignore"):   # the bearing is 0 / 0 there
+        d, _ = geometry(0.0, lane_offset=0.0, antenna_height=0.0)
+    assert d == 0.0
 
 
 def test_distance_15():
-    assert distance_to_antenna(Position3(-10.0, 5.0, 0.0), RSU) \
-        == pytest.approx(15.0, abs=1e-12)
+    d, _ = geometry(-10.0)
+    assert d == pytest.approx(15.0, abs=1e-12)
 
 
 def test_cos_bearing_two_thirds():
-    c = cos_bearing_angle(Position3(-10.0, 5.0, 0.0), RSU)
+    _, c = geometry(-10.0)
     assert c == pytest.approx(10.0 / 15.0, abs=1e-12)
 
 
 def test_cos_bearing_orthogonal():
-    assert cos_bearing_angle(Position3(0.0, 5.0, 0.0), RSU) == 0.0
+    assert geometry(0.0)[1] == 0.0
 
 
 def test_cos_bearing_antiparallel():
-    c = cos_bearing_angle(Position3(10.0, 0.0, 0.0),
-                          Position3(0.0, 0.0, 0.0))
+    _, c = geometry(10.0, lane_offset=0.0, antenna_height=0.0)
     assert c == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_cos_bearing_degenerate():
-    with pytest.raises(DegenerateGeometryError):
-        cos_bearing_angle(Position3(0.0, 0.0, 10.0), RSU)
 
 
 def test_doppler_hand_case():

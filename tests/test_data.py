@@ -112,7 +112,9 @@ def test_apply_attack_dispatch():
     assert apply_attack(batch, "none") is batch
     assert np.array_equal(apply_attack(batch, "class_flip").labels,
                           9 - batch.labels)
-    with pytest.raises(ValueError):
+    assert np.array_equal(apply_attack(batch, "data_flip").inputs,
+                          1.0 - batch.inputs)
+    with pytest.raises(ValueError, match="'bitflip'"):
         apply_attack(batch, "bitflip")
 
 

@@ -256,7 +256,7 @@ def test_sweep_cell_order_and_fraction_zero(tmp_path):
 
 
 def test_sweep_rejects_unknown_attack():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'bitflip'"):
         attack_sweep(tiny_cfg(), 1, (0.0,), "bitflip")
 
 

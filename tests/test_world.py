@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import vecafl
+from vecafl.channel import lane_geometry, transmission_rate
 from vecafl.config import SAMPLE_BUDGET, SimConfig, validate_config
 from vecafl.world import (World, _log_gauss_mass, _truncnorm_draws,
                           build_dataset)
@@ -175,6 +176,17 @@ def test_rates_shape_and_positivity():
         rates = world.rates()
         assert rates.shape == (3,)
         assert np.all(rates >= 0.0)
+        world.advance()
+
+
+def test_rates_are_the_shannon_rate_at_the_lane_distance():
+    world, cfg = make_world()
+    for _ in range(cfg.slots_per_episode):
+        dist, _ = lane_geometry(world.positions(), cfg.lane_offset_m,
+                                cfg.rsu_height_m)
+        want = [transmission_rate(world.link, gain, d)
+                for gain, d in zip(world.gains.tolist(), dist.tolist())]
+        assert world.rates().tolist() == want
         world.advance()
 
 

@@ -5,9 +5,13 @@
 Exports ``<rev>`` with ``git archive`` into a temporary directory, then runs
 the same fixed set of cells in both trees, one process per tree, side by
 side: the six schemes at the default config with ``train_episodes = 20``,
-seed 3, and a ``class_flip`` sweep over tampered fractions 0, 0.2 and 0.4.
-Each cell also writes its world digests (``test_digests.txt`` for a
-scheme, the training digests for the sweep), so a change in what the
+seed 3, a ``class_flip`` sweep over tampered fractions 0, 0.2 and 0.4, and
+``vecafl test`` redeploying the ``ddafl`` cell's checkpoint at seed 4 with
+the config that cell saved, so loading a checkpoint is compared too.  Each
+run first checks that it imports the package from its own tree's ``src``
+(not from an installed copy) and prints where from.  Each cell also
+writes its world digests (``test_digests.txt`` for a scheme or the
+redeploy, the training digests for the sweep), so a change in what the
 environment draws shows even where no output file carries it, and
 ``rows.txt``, the ``repr`` of every metrics row, whose floats keep all 17
 digits where ``metrics.csv`` prints nine: a sum taken in another order
@@ -33,6 +37,8 @@ ROOT = Path(__file__).resolve().parents[1]
 DRIVER = """
 import os, sys
 from dataclasses import replace
+import vecafl
+from vecafl import cli, harness
 from vecafl.config import SimConfig
 from vecafl.harness import attack_sweep, run_experiment
 
@@ -40,7 +46,11 @@ def dump(cell, name, lines):
     with open(os.path.join(cell, name), "w") as fh:
         fh.write("".join(line + "\\n" for line in lines))
 
-out = sys.argv[1]
+out, src = sys.argv[1], os.path.realpath(sys.argv[2])
+package = os.path.realpath(vecafl.__file__)
+if os.path.dirname(os.path.dirname(package)) != src:
+    sys.exit(f"imports {package}, not the package in {src}")
+print("imports", package, flush=True)
 cfg = replace(SimConfig(), train_episodes=20)
 for scheme in ("ddafl", "ddafl_no_defense", "ddafl_no_lt", "ddafl_no_ct",
                "plain_afl", "sync_fl"):
@@ -53,6 +63,24 @@ _, rows, train_res = attack_sweep(cfg, 3, (0.0, 0.2, 0.4), "class_flip",
                                   cell)
 dump(cell, "train_digests.txt", train_res.digests)
 dump(cell, "rows.txt", map(repr, rows))
+
+# the CLI keeps no result; record the one it builds for rows and digests
+deployed, deploy = [], harness.run_experiment
+
+def recorded(*args, **kwargs):
+    deployed.append(deploy(*args, **kwargs))
+    return deployed[-1]
+
+harness.run_experiment = recorded
+trained = os.path.join(out, "ddafl")
+cell = os.path.join(out, "redeploy-ddafl")
+code = cli.main(["test", "--checkpoint", os.path.join(trained, "checkpoint"),
+                 "--config", os.path.join(trained, "config.txt"),
+                 "--seed", "4", "--out", cell])
+if code != 0:
+    sys.exit(f"vecafl test exited with {code}")
+dump(cell, "test_digests.txt", deployed[0].test_digests)
+dump(cell, "rows.txt", map(repr, deployed[0].rows))
 """
 
 
@@ -93,7 +121,8 @@ def start_driver(tree: Path, out: Path) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(tree / "src")
     out.mkdir(parents=True)
-    return subprocess.Popen([sys.executable, "-c", DRIVER, str(out)],
+    return subprocess.Popen([sys.executable, "-c", DRIVER, str(out),
+                             str(tree / "src")],
                             cwd=str(out), env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True)
 
@@ -123,6 +152,8 @@ def main(argv=None) -> int:
             if proc.returncode != 0:
                 failed = True
                 print(f"run in {name} failed:\n{log}", file=sys.stderr)
+            else:
+                print(f"{name}: {log.splitlines()[0]}")
         if failed:
             return 2
         here, there = (out for _, out in runs.values())
