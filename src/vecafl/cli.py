@@ -21,11 +21,12 @@ from . import ddpg, harness
 from .config import ConfigError, SimConfig, load_config, validate_config
 from .data import ATTACKS
 
-LEARNED = tuple(s for s in harness.SCHEMES if s.startswith("ddafl"))
+LEARNED = tuple(n for n, s in harness.SCHEMES.items() if s.learned)
 # command -> (schemes it runs, default scheme, help)
 RUNS = {
     "train": (LEARNED, "ddafl", "learn a policy and deploy it"),
-    "baseline": (harness.BASELINES, "", "plain_afl or sync_fl run"),
+    "baseline": (tuple(n for n, s in harness.SCHEMES.items()
+                       if not s.learned), "", "plain_afl or sync_fl run"),
     "ablation": (("ddafl_no_lt", "ddafl_no_ct", "ddafl_no_defense"), "",
                  "single-component knockouts"),
 }

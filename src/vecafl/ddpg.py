@@ -18,7 +18,7 @@ import numpy as np
 
 from . import BLAS_THREADS
 from .config import SimConfig, config_hash, validate_config
-from .engine import run_phase
+from .engine import SCHEMES, Scheme, run_phase
 # evaluate is unused here but stays bound: perfbench's slot clock patches it
 from .model import (ModelParams, backprop_from_logits, evaluate,
                     forward_stack, init_params, load_params, params_axpy,
@@ -226,18 +226,19 @@ class TrainResult:
     rng_digest: str
 
 
-def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
-          ct_weight_on: bool = True) -> TrainResult:
+def train(cfg: SimConfig, dataset, seed: int,
+          scheme: Scheme = SCHEMES["ddafl"]) -> TrainResult:
     """Learn a selection policy over ``cfg.train_episodes`` episodes.
 
-    Training aggregates without the upload filter and without tampering;
-    the degraded vehicle, if configured, is part of the environment.  The
-    world and the global model restart every episode, and network updates
-    begin once the replay holds strictly more than one minibatch.  The
-    episodes run on ``engine.run_phase``: the actor plus exploration noise
-    selects, and each slot's transition is stored and learned from.  An
-    update that leaves the critic's loss, the critic or the actor
-    non-finite raises ``TrainingDiverged``.
+    Training aggregates with ``scheme``'s staleness weights but never with
+    the upload filter, and without tampering; the degraded vehicle, if
+    configured, is part of the environment.  The world and the global model
+    restart every episode, and network updates begin once the replay holds
+    strictly more than one minibatch.  The episodes run on
+    ``engine.run_phase``: the actor plus exploration noise selects, and
+    each slot's transition is stored and learned from.  An update that
+    leaves the critic's loss, the critic or the actor non-finite raises
+    ``TrainingDiverged``.
     """
     validate_config(cfg)
     k = cfg.vehicle_count
@@ -283,8 +284,7 @@ def train(cfg: SimConfig, dataset, seed: int, *, lt_weight_on: bool = True,
                                             nets.actor, cfg.soft_tau)
 
     phase = run_phase(cfg, dataset, seed, "train", cfg.train_episodes,
-                      select, observe, defense_on=False,
-                      lt_weight_on=lt_weight_on, ct_weight_on=ct_weight_on,
+                      select, observe, scheme=scheme._replace(defense=False),
                       restart_global=True)
     episode_rewards = np.zeros(cfg.train_episodes)
     for rec in phase.records:

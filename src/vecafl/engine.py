@@ -11,6 +11,7 @@ deployment alike.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,26 @@ from .model import (ModelParams, cross_entropy, evaluate, init_params,
                     train_cohort)
 from .rng import substream
 from .world import World
+
+
+class Scheme(NamedTuple):
+    """What one named scheme does, from the CLI to the slot loop."""
+
+    learned: bool   # a trained DDPG policy selects; else everyone uploads
+    defense: bool   # a trusted model screens uploads by announced loss
+    lt: bool        # uploads weighted by their local-training delay
+    ct: bool        # uploads weighted by their upload delay
+    sync: bool      # one mean of every vehicle per slot, not async folds
+
+
+SCHEMES = {
+    "ddafl": Scheme(True, True, True, True, False),
+    "ddafl_no_defense": Scheme(True, False, True, True, False),
+    "ddafl_no_lt": Scheme(True, True, False, True, False),
+    "ddafl_no_ct": Scheme(True, True, True, False, False),
+    "plain_afl": Scheme(False, False, False, False, False),
+    "sync_fl": Scheme(False, False, False, False, True),
+}
 
 
 class TrustedShardError(RuntimeError):
@@ -67,11 +88,6 @@ class SlotResult:
 
 NONFINITE = "nonfinite"     # a NaN or inf announced loss or parameter
 LOSS_LIMIT = "loss_limit"   # announced loss above the filter's limit
-
-
-def finite_upload(params: ModelParams, loss: float) -> bool:
-    """True when the announced loss and every parameter are finite."""
-    return math.isfinite(loss) and bool(np.isfinite(params.vector).all())
 
 
 def local_delay(data_count: int, cycles_per_sample: float,
@@ -183,7 +199,7 @@ def _finite_only(uploads, reasons: dict) -> list:
     parameters are all finite; each other one is rejected in ``reasons``."""
     kept = []
     for upload in uploads:
-        if finite_upload(upload[1], upload[2]):
+        if math.isfinite(upload[2]) and np.isfinite(upload[1].vector).all():
             kept.append(upload)
         else:
             reasons[upload[0]] = NONFINITE
@@ -207,9 +223,8 @@ def _slot_result(updates, delays, skipped, accepted, reasons,
 
 
 def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
-                 trusted_model: GlobalModel, cfg: SimConfig, *,
-                 lt_weight_on: bool = True,
-                 ct_weight_on: bool = True) -> SlotResult:
+                 trusted_model: GlobalModel, cfg: SimConfig,
+                 scheme: Scheme = SCHEMES["ddafl"]) -> SlotResult:
     """One asynchronous round over the selected vehicles.
 
     All selected vehicles start from the global model as it stood at the
@@ -218,7 +233,8 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
     defended schemes), each upload must pass the trusted-loss threshold
     before it touches the global model; with None, nothing is screened by
     loss.  An upload with a non-finite loss or parameter is rejected either
-    way, and the slot's mean loss and delay leave it out.
+    way, and the slot's mean loss and delay leave it out.  ``scheme.lt``
+    and ``scheme.ct`` switch the two staleness weights.
     """
     if not world.rsu_batch_intact():
         raise TrustedShardError("trusted shard was tampered with")
@@ -229,9 +245,9 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
     uploads, stale = [], {}  # uploads: (vid, weighted, loss, arrival time)
     for vid, params, loss, t_l, t_u in updates:
         w_lt = staleness_weight(cfg.stale_base_local, t_l) \
-            if lt_weight_on else 1.0
+            if scheme.lt else 1.0
         w_ct = staleness_weight(cfg.stale_base_upload, t_u) \
-            if ct_weight_on else 1.0
+            if scheme.ct else 1.0
         stale[vid] = (w_lt, w_ct)
         uploads.append((vid, weighted_upload(params, w_lt, w_ct), loss,
                         t_l + t_u))
@@ -311,21 +327,19 @@ class PhaseResult:
 
 
 def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
-              select_fn, observe=None, *, aggregator: str = "afl",
-              defense_on: bool = True, lt_weight_on: bool = True,
-              ct_weight_on: bool = True, attacked_ids=(),
-              restart_global: bool = False) -> PhaseResult:
+              select_fn, observe=None, *, scheme: Scheme = SCHEMES["ddafl"],
+              attacked_ids=(), restart_global: bool = False) -> PhaseResult:
     """Run ``episodes`` episodes of ``cfg.slots_per_episode`` slots each.
 
     The world restarts every episode, with ``cfg.attack`` on
     ``attacked_ids``.  The global model (and the trusted model, when
-    ``defense_on``) is drawn once from ``substream(seed, "global-init",
+    ``scheme.defense``) is drawn once from ``substream(seed, "global-init",
     phase)`` and trains across the phase; with ``restart_global`` it is
     redrawn every episode from ``substream(seed, "global-init", phase,
     episode)``.  Each slot: ``select_fn(world, prev_action) -> (weights,
-    mask)`` picks the uploaders, the round runs, ``compute_reward`` scores
-    it, the world advances, ``observe(world, weights, slot_result)`` sees
-    the advanced world, and the global model is evaluated on the fixed
+    mask)`` picks the uploaders, ``scheme``'s round runs, ``compute_reward``
+    scores it, the world advances, ``observe(world, weights, slot_result)``
+    sees the advanced world, and the global model is evaluated on the fixed
     ``world.eval_batch`` to complete the slot's record.
     """
     k = cfg.vehicle_count
@@ -340,19 +354,17 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
                 cfg.classifier_arch,
                 substream(seed, "global-init", phase, *tags)))
             trusted_model = GlobalModel(params_copy(global_model.params)) \
-                if defense_on else None
+                if scheme.defense else None
         if cfg.attack != "none" and attacked_ids:
             world.set_attacks(attacked_ids, cfg.attack)
         prev_action = np.ones(k)
         for slot in range(1, cfg.slots_per_episode + 1):
             weights, mask = select_fn(world, prev_action)
-            if aggregator == "sync":
+            if scheme.sync:
                 res = sync_round(world, global_model, cfg)
             else:
                 res = run_afl_slot(world, np.flatnonzero(mask),
-                                   global_model, trusted_model, cfg,
-                                   lt_weight_on=lt_weight_on,
-                                   ct_weight_on=ct_weight_on)
+                                   global_model, trusted_model, cfg, scheme)
             res.episode, res.slot = episode, slot
             res.reward = compute_reward(weights, res.avg_loss,
                                         res.mean_delay, cfg)

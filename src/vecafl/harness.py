@@ -1,9 +1,9 @@
 """Experiment orchestration and metrics emission.
 
-A scheme names one end-to-end recipe (learned selection with or without
-its defenses, or a baseline aggregator).  All schemes sharing a seed face
-identical environment realisations, so their metrics are directly
-comparable row by row.
+A scheme names one end-to-end recipe, as ``engine.SCHEMES`` states it:
+learned selection with or without its defenses, or a baseline.  All
+schemes sharing a seed face identical environment realisations, so their
+metrics are directly comparable row by row.
 """
 
 import csv
@@ -14,14 +14,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import ddpg
-from .config import SimConfig, config_hash, save_config, validate_config
+from .config import (ConfigError, SimConfig, config_hash, save_config,
+                     validate_config)
 from .data import ATTACKS
-from .engine import run_phase
+from .engine import SCHEMES, run_phase
 from .world import World, build_dataset
 
-SCHEMES = ("ddafl", "ddafl_no_defense", "ddafl_no_lt", "ddafl_no_ct",
-           "plain_afl", "sync_fl")
-BASELINES = ("plain_afl", "sync_fl")
 DEFAULT_ATTACK_COUNT = 2   # tampered uploaders picked at deployment
 
 
@@ -124,18 +122,6 @@ def resolve_attacked_ids(cfg: SimConfig, actor, dataset, seed: int,
     return tuple(sorted(ranked[:count]))
 
 
-def _scheme_flags(scheme: str) -> dict:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-    return {
-        "learned": scheme.startswith("ddafl"),
-        "defense": scheme in ("ddafl", "ddafl_no_lt", "ddafl_no_ct"),
-        "lt": scheme not in ("ddafl_no_lt", "plain_afl", "sync_fl"),
-        "ct": scheme not in ("ddafl_no_ct", "plain_afl", "sync_fl"),
-        "sync": scheme == "sync_fl",
-    }
-
-
 def _select_everyone(k: int):
     def select(world, prev_action):
         return np.ones(k), np.ones(k, dtype=bool)
@@ -147,11 +133,8 @@ def _deploy(scheme: str, cfg: SimConfig, dataset, seed: int, select,
     """The deployment phase of ``scheme``: ``cfg.test_episodes`` episodes
     with ``cfg.attack`` on ``attacked_ids``.  Returns the phase and its
     metrics rows."""
-    flags = _scheme_flags(scheme)
     phase = run_phase(cfg, dataset, seed, "test", cfg.test_episodes, select,
-                      aggregator="sync" if flags["sync"] else "afl",
-                      defense_on=flags["defense"], lt_weight_on=flags["lt"],
-                      ct_weight_on=flags["ct"], attacked_ids=attacked_ids)
+                      scheme=SCHEMES[scheme], attacked_ids=attacked_ids)
     return phase, _phase_rows(phase.records, run_id, scheme,
                               config_hash(cfg),
                               len(attacked_ids) / cfg.vehicle_count)
@@ -168,16 +151,17 @@ def run_experiment(scheme: str, cfg: SimConfig, seed: int,
     resolved config and, for learned schemes, the policy checkpoint.
     """
     validate_config(cfg)
-    flags = _scheme_flags(scheme)
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; pick one of "
+                         f"{tuple(SCHEMES)}")
     cfg_hash = config_hash(cfg)
     dataset = build_dataset(cfg, seed)
     rows, train_rewards, nets = [], np.zeros(0), None
     select = _select_everyone(cfg.vehicle_count)
 
-    if flags["learned"]:
+    if SCHEMES[scheme].learned:
         train_res = pretrained if pretrained is not None else ddpg.train(
-            cfg, dataset, seed, lt_weight_on=flags["lt"],
-            ct_weight_on=flags["ct"])
+            cfg, dataset, seed, SCHEMES[scheme])
         nets = train_res.nets
         train_rewards = train_res.episode_rewards
         rows += _phase_rows(train_res.records, f"{scheme}-s{seed}-train",
@@ -221,13 +205,16 @@ def attack_sweep(cfg: SimConfig, seed: int, fractions, attack_kind: str,
     The policy is trained once (training never sees tampering) and then
     deployed at every fraction with the filter on and off, under paired
     environment realisations.  Returns the per-cell summaries plus all
-    metrics rows.
+    metrics rows.  A config that sets ``attacked_vehicles`` is refused.
     """
     validate_config(cfg)
+    if cfg.attacked_vehicles:
+        raise ConfigError("attacked_vehicles must be empty for a sweep, "
+                          "which picks the tampered vehicles per fraction")
     if attack_kind not in ATTACKS:
         raise ValueError(f"unknown attack kind {attack_kind!r}; pick one of "
                          f"{tuple(ATTACKS)}")
-    base = replace(cfg, attack="none", attacked_vehicles=())
+    base = replace(cfg, attack="none")
     dataset = build_dataset(base, seed)
     train_res = ddpg.train(base, dataset, seed)
     actor = train_res.nets.actor

@@ -201,6 +201,19 @@ def test_bad_sweep_fraction_exits_2(cfg_file, capsys):
     assert "fractions must lie in [0, 1]" in capsys.readouterr().err
 
 
+def test_sweep_with_explicit_attacked_vehicles_exits_2(cfg_file, tmp_path,
+                                                       capsys):
+    path = tmp_path / "ids.cfg"
+    save_config(replace(load_config(cfg_file), attacked_vehicles=(0, 1)),
+                path)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--attack", "class_flip", "--config", str(path),
+                 "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "attacked_vehicles" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_falls_back_to_environment(cfg_file, tmp_path, capsys,
                                         monkeypatch):
     monkeypatch.setenv("SIM_SEED", "9")

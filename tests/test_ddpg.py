@@ -18,7 +18,7 @@ from vecafl.ddpg import (AgentNets, OUNoise, ReplayBuffer, actor_forward,
                          actor_update, binarize_action, critic_forward,
                          critic_targets, critic_update, init_agent,
                          soft_update, state_vector)
-from vecafl.engine import compute_reward
+from vecafl.engine import SCHEMES, compute_reward
 from vecafl.harness import run_experiment
 from vecafl.model import (ModelParams, forward_stack, init_params,
                           params_copy, params_to_bytes)
@@ -450,6 +450,20 @@ def test_train_deterministic():
     assert np.array_equal(a.episode_rewards, b.episode_rewards)
     assert params_equal(a.nets.actor, b.nets.actor)
     assert a.digests == b.digests
+
+
+def test_train_ignores_the_schemes_filter():
+    # training never screens uploads, so the defended scheme trains the
+    # same policy as its undefended knockout
+    cfg = agent_cfg()
+    ds = build_dataset(cfg, 33)
+    a = ddpg.train(cfg, ds, 33, SCHEMES["ddafl"])
+    b = ddpg.train(cfg, ds, 33, SCHEMES["ddafl_no_defense"])
+    assert a.rng_digest == b.rng_digest
+    for name in ("actor", "critic", "target_actor", "target_critic"):
+        assert params_equal(getattr(a.nets, name), getattr(b.nets, name))
+    assert all(r.trusted_loss is None and r.filter_calls == 0
+               for r in a.records + b.records)
 
 
 @pytest.mark.parametrize("critic_lr, actor_lr, where", [

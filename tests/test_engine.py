@@ -20,7 +20,7 @@ from conftest import make_params, params_allclose
 from reference import biases, weights
 from vecafl import engine
 from vecafl.config import SimConfig, validate_config
-from vecafl.engine import (FilterSoundnessError, GlobalModel,
+from vecafl.engine import (SCHEMES, FilterSoundnessError, GlobalModel,
                            TrustedShardError, compute_reward, global_update,
                            local_delay, run_afl_slot, run_phase,
                            staleness_weight, threshold_accept, upload_delay,
@@ -291,8 +291,7 @@ def test_stale_weight_log_is_one_when_disabled():
     ds = build_dataset(cfg, 56)
     world = World(cfg, ds, 56, "test", 1)
     gm = GlobalModel(init_params(cfg.classifier_arch, substream(56, "g")))
-    res = run_afl_slot(world, [0, 1, 2], gm, None, cfg,
-                       lt_weight_on=False, ct_weight_on=False)
+    res = run_afl_slot(world, [0, 1, 2], gm, None, cfg, SCHEMES["plain_afl"])
     assert all(w == (1.0, 1.0) for w in res.stale_weights.values())
 
 
@@ -485,8 +484,7 @@ def test_sync_round_counts_and_average():
     cfg = tiny_cfg()
     ds = build_dataset(cfg, 59)
     phase = run_phase(cfg, ds, 59, "test", 1, select_all(3),
-                      aggregator="sync", defense_on=False,
-                      lt_weight_on=False, ct_weight_on=False)
+                      scheme=SCHEMES["sync_fl"])
     for sr in phase.records:
         arrived = sorted(sr.reported)
         assert sr.accepted_ids == arrived
@@ -504,7 +502,7 @@ def test_phase_deterministic():
     cfg = tiny_cfg()
     ds = build_dataset(cfg, 60)
     runs = [run_phase(cfg, ds, 60, "test", 2, select_all(3),
-                      defense_on=True, lt_weight_on=True, ct_weight_on=True)
+                      scheme=SCHEMES["ddafl"])
             for _ in range(2)]
     assert runs[0].digests == runs[1].digests
     assert np.array_equal(runs[0].global_model.params.vector,
@@ -517,10 +515,9 @@ def test_paired_seed_worlds_identical_across_schemes():
     cfg = tiny_cfg()
     ds = build_dataset(cfg, 61)
     defended = run_phase(cfg, ds, 61, "test", 2, select_all(3),
-                         defense_on=True, lt_weight_on=True,
-                         ct_weight_on=True)
+                         scheme=SCHEMES["ddafl"])
     raw = run_phase(cfg, ds, 61, "test", 2, select_all(3),
-                    defense_on=False, lt_weight_on=False, ct_weight_on=False)
+                    scheme=SCHEMES["plain_afl"])
     assert defended.digests == raw.digests
 
 
@@ -528,7 +525,7 @@ def test_phase_records_shape_and_bounds():
     cfg = tiny_cfg()
     ds = build_dataset(cfg, 62)
     phase = run_phase(cfg, ds, 62, "test", 2, select_all(3),
-                      defense_on=False, lt_weight_on=True, ct_weight_on=True)
+                      scheme=SCHEMES["ddafl_no_defense"])
     assert len(phase.records) == 2 * cfg.slots_per_episode
     for rec in phase.records:
         assert rec.accuracy + rec.error_rate == pytest.approx(1.0, abs=1e-12)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,10 +12,10 @@ import pytest
 from vecafl import ddpg
 from vecafl.config import (ConfigError, SimConfig, config_hash,
                            validate_config)
-from vecafl.engine import SlotResult
+from vecafl.engine import Scheme, SlotResult
 from reference import parse_metrics, weights
-from vecafl.harness import (SCHEMES, MetricsRow, _phase_rows, _scheme_flags,
-                            attack_sweep, emit_metrics, resolve_attacked_ids,
+from vecafl.harness import (SCHEMES, MetricsRow, _phase_rows, attack_sweep,
+                            emit_metrics, resolve_attacked_ids,
                             run_experiment)
 from vecafl.model import init_params
 from vecafl.rng import substream
@@ -124,15 +125,15 @@ def test_phase_rows_summary_and_order():
     ("sync_fl", False, False, False, False, True),
 ])
 def test_scheme_flag_table(scheme, learned, defense, lt, ct, sync):
-    flags = _scheme_flags(scheme)
-    assert flags == {"learned": learned, "defense": defense, "lt": lt,
-                     "ct": ct, "sync": sync}
+    assert SCHEMES[scheme] == Scheme(learned=learned, defense=defense, lt=lt,
+                                     ct=ct, sync=sync)
 
 
 def test_unknown_scheme_rejected():
-    with pytest.raises(ValueError):
-        _scheme_flags("fedavg")
-    with pytest.raises(ValueError):
+    six = ("ddafl", "ddafl_no_defense", "ddafl_no_lt", "ddafl_no_ct",
+           "plain_afl", "sync_fl")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"'fedavg'; pick one of {six}")):
         run_experiment("fedavg", tiny_cfg(), 1)
 
 
@@ -216,7 +217,8 @@ def test_checkpoint_manifest_records_rng_digest_and_scheme(tmp_path):
     run_experiment("ddafl_no_lt", cfg, 23, out_dir=str(out))
     manifest = json.loads((out / "checkpoint" / "manifest.json")
                           .read_text(encoding="utf-8"))
-    trained = ddpg.train(cfg, build_dataset(cfg, 23), 23, lt_weight_on=False)
+    trained = ddpg.train(cfg, build_dataset(cfg, 23), 23,
+                         SCHEMES["ddafl_no_lt"])
     assert trained.rng_digest
     assert manifest["rng_digest"] == trained.rng_digest
     assert manifest["scheme"] == "ddafl_no_lt"
@@ -253,6 +255,15 @@ def test_sweep_cell_order_and_fraction_zero(tmp_path):
     assert abs(cells[0].final_error_rate - cells[1].final_error_rate) < 1e-12
     assert (out / "sweep_metrics.csv").exists()
     assert (out / "sweep_summary.csv").exists()
+
+
+def test_sweep_refuses_explicit_attacked_vehicles():
+    # the sweep probes every fraction with this config, so explicit ids
+    # would win at each nonzero fraction: the f0.2 cells would tamper with
+    # both vehicles and log 0.4 while the summary says 0.2
+    cfg = tiny_cfg(vehicle_count=5, attacked_vehicles=(0, 1))
+    with pytest.raises(ConfigError, match="attacked_vehicles"):
+        attack_sweep(cfg, 3, (0.0, 0.2, 0.4), "class_flip")
 
 
 def test_sweep_rejects_unknown_attack():

@@ -17,13 +17,16 @@ environment draws shows even where no output file carries it, and
 digits where ``metrics.csv`` prints nine: a sum taken in another order
 shows there.  Every file is compared by sha256.  Exits 0 when all are
 byte-identical and 1 naming every file that differs or exists on one side
-only; 2 when a run fails or the revision cannot be exported.
+only; 2 when a run fails or the revision cannot be exported.  Killed by
+SIGTERM or interrupted, it stops both runs and removes its temporary
+directory before it exits.
 """
 
 import argparse
 import hashlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -127,6 +130,11 @@ def start_driver(tree: Path, out: Path) -> subprocess.Popen:
                             stderr=subprocess.STDOUT, text=True)
 
 
+def _exit_on_sigterm(signum, frame):
+    # SystemExit unwinds through main's finally, which a bare SIGTERM skips
+    sys.exit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True,
@@ -134,7 +142,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     scratch = Path(tempfile.mkdtemp(prefix="vecafl-oracle-"))
+    procs = {}
     try:
         try:
             full = export_revision(args.against, scratch / "tree")
@@ -144,8 +154,8 @@ def main(argv=None) -> int:
             return 2
         runs = {"this tree": (ROOT, scratch / "out-here"),
                 full[:12]: (scratch / "tree", scratch / "out-there")}
-        procs = {name: start_driver(tree, out)
-                 for name, (tree, out) in runs.items()}
+        for name, (tree, out) in runs.items():
+            procs[name] = start_driver(tree, out)
         failed = False
         for name, proc in procs.items():
             log, _ = proc.communicate()
@@ -160,6 +170,10 @@ def main(argv=None) -> int:
         count = len(set(file_digests(here)) | set(file_digests(there)))
         differ = differing_files(here, there)
     finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
         shutil.rmtree(scratch, ignore_errors=True)
 
     wall = time.perf_counter() - start
