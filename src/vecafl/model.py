@@ -56,8 +56,8 @@ def _param_count(arch: tuple) -> int:
 class ModelParams:
     """Weights and biases of a fully connected network in one vector.
 
-    ``vector`` is float64 in the ``_layer_views`` layout: (P,) for one
-    network, (g, P) for a cohort of g.  ``layers`` holds views into it.
+    ``vector`` is a (P,) float64 array in the ``_layer_views`` layout.
+    ``layers`` holds views into it.
     """
 
     vector: np.ndarray
@@ -67,7 +67,7 @@ class ModelParams:
         arch = self.architecture = tuple(int(n) for n in self.architecture)
         size = _param_count(arch)
         self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim not in (1, 2) or self.vector.shape[-1] != size:
+        if self.vector.shape != (size,):
             raise ValueError(f"expected {size} values for {arch}, "
                              f"got shape {self.vector.shape}")
 
@@ -115,18 +115,13 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
 
 
 def forward_stack(params: ModelParams, x: np.ndarray):
-    """Return output-layer logits and per-layer activations (for backprop).
-
-    A cohort of networks runs at once when the parameters are a (g, P)
-    stack and the inputs are (g, n, dim): each learner's rows meet only its
-    own layers.
-    """
+    """Return output-layer logits and per-layer activations (for backprop)."""
     acts = [_as_batch(x)]
     h = acts[0]
     layers = params.layers
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = h @ w + b[..., None, :]
+        z = h @ w + b
         h = z if i == last else np.maximum(z, 0.0)
         acts.append(h)
     return h, acts
@@ -137,16 +132,15 @@ def backprop_from_logits(params: ModelParams, acts, dlogits: np.ndarray):
 
     Returns (grads, dinput) where grads mirrors the parameter layout and
     dinput is the gradient with respect to the input rows.  Hidden layers
-    use the relu mask of the cached activations.  Works on a cohort stack
-    as ``forward_stack`` does.
+    use the relu mask of the cached activations.
     """
     grads = ModelParams(np.empty_like(params.vector), params.architecture)
     delta = dlogits
     for i, ((w, _), (gw, gb)) in reversed(list(enumerate(
             zip(params.layers, grads.layers)))):
-        np.matmul(acts[i].swapaxes(-1, -2), delta, out=gw)
-        np.sum(delta, axis=-2, out=gb)
-        delta = delta @ w.swapaxes(-1, -2)
+        np.matmul(acts[i].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
+        delta = delta @ w.T
         if i > 0:
             delta = delta * (acts[i] > 0.0)
     return grads, delta
@@ -173,13 +167,6 @@ def sgd_step(params: ModelParams, grads: ModelParams,
     return params_axpy(params, grads, -eta)
 
 
-# Row block of the final loss: a multiple of the BLAS kernels' row panels,
-# so that blocked logits equal whole-shard ones.  The default net's widest
-# block product (256 x 64 x 32) is past OpenBLAS's threading threshold;
-# that is safe because importing vecafl pins OpenBLAS to one thread, so no
-# product is split over threads or wakes a worker that then spins.
-LOSS_ROWS = 256
-
 # cohort shapes whose operand records the workspace keeps: five vehicles
 # and the roadside learner make at most 19 shapes under one config
 _SHAPES_KEPT = 32
@@ -191,7 +178,8 @@ class _Operands(NamedTuple):
     All are views into the cohort workspace, built once per cohort shape
     and replayed on every pass of every call with that shape: the inputs
     and targets fill in place, the scratch is shared by all steps, and the
-    parameters and gradients are the cohort's stacks.
+    parameters and gradients are the cohort's stacks.  A final-loss record
+    is one learner's whole shard; it reads the shard, not ``inputs``.
     """
 
     inputs: np.ndarray      # (learners, rows, in)
@@ -209,27 +197,18 @@ class _Operands(NamedTuple):
     params: np.ndarray      # and of the parameter stack
 
 
-def _step_plan(sizes, block: int, join_lone_row: bool = False) -> list:
+def _step_plan(sizes, block: int) -> list:
     """Stacked steps (first, stop, lo, hi) over learners sorted by size.
 
     ``sizes`` runs largest first.  Each learner's rows are cut into blocks
     of ``block`` rows from row 0, and learners that share a block's bounds
     and sit next to each other in the order step together: rows lo:hi of
     learners first:stop.  Those still holding a full block are a prefix;
-    the learners of one shard size share their short last block.  With
-    ``join_lone_row`` a last block of one row is joined to the block before
-    it, so that no block but a one-row shard is a single row.
+    the learners of one shard size share their short last block.
     """
     steps = []
     for lo in range(0, sizes[0], block):
-        ends = []
-        for n in sizes:
-            hi = min(lo + block, n)
-            if join_lone_row and n - hi == 1:
-                hi = n
-            elif join_lone_row and lo and n - lo == 1:
-                hi = lo  # joined to the block before
-            ends.append(hi)
+        ends = [min(lo + block, n) for n in sizes]
         first = 0
         for row in range(1, len(sizes) + 1):
             if row == len(sizes) or ends[row] != ends[first]:
@@ -245,11 +224,8 @@ class _Cohort(NamedTuple):
     stack: np.ndarray     # (g, P) parameters; a call copies its starts in
     inputs: np.ndarray    # (g, largest shard, in) gathered input rows
     targets: np.ndarray   # (g, largest shard, classes) one-hot rows
-    picked: np.ndarray    # (g, largest shard) true-class probabilities
-    labels: np.ndarray    # (g, largest shard) labels for the final loss
     train: tuple          # _Operands per step of _step_plan(sizes, batch)
-    loss: tuple           # (_Operands, its picked, its labels[..., None])
-                          # per row block of the final loss
+    loss: tuple           # _Operands per learner over its whole shard
 
 
 class _Workspace:
@@ -285,22 +261,22 @@ class _Workspace:
 
     def _build(self, arch, sizes, batch_size) -> _Cohort:
         g, longest = len(sizes), sizes[0]
-        rows = min(longest, max(batch_size, LOSS_ROWS + 1))
+        # a training step spans at most g learners' minibatches, a loss
+        # record one learner's whole shard
+        rows = max(g * min(batch_size, longest), longest)
         stack = self._buffer("stack", (g, _param_count(arch)))
         grads = self._buffer("grads", stack.shape)
         inputs = self._buffer("inputs", (g, longest, arch[0]))
         targets = self._buffer("targets", (g, longest, arch[-1]))
-        picked = self._buffer("picked", (g, longest))
-        labels = self._buffer("labels", (g, longest), np.intp)
         # scratch rows for the layer outputs and the backpropagated errors; a
         # step views the head of each as a contiguous (learners, rows, width)
-        outs = [self._buffer(("out", k), (g * rows, n))
+        outs = [self._buffer(("out", k), (rows, n))
                 for k, n in enumerate(arch[1:])]
-        deltas = [self._buffer(("delta", k), (g * rows, n))
+        deltas = [self._buffer(("delta", k), (rows, n))
                   for k, n in enumerate(arch[1:-1])]
         # the logits column-major, and a row max, then a row sum, of them
-        by_column = self._buffer("by_column", (g * rows * arch[-1],))
-        column = self._buffer("column", (g * rows,))
+        by_column = self._buffer("by_column", (rows * arch[-1],))
+        column = self._buffer("column", (rows,))
         layers = _layer_views(stack, arch)
         grad_layers = _layer_views(grads, arch)
         last = len(layers) - 1
@@ -331,15 +307,11 @@ class _Workspace:
                 hi - lo, tuple(back),
                 grads[first:stop], stack[first:stop])
 
-        loss = tuple((operands(first, stop, lo, hi),
-                      picked[first:stop, lo:hi],
-                      labels[first:stop, lo:hi, None])
-                     for first, stop, lo, hi in _step_plan(
-                         sizes, LOSS_ROWS, join_lone_row=True))
-        return _Cohort(stack, inputs, targets, picked, labels,
+        return _Cohort(stack, inputs, targets,
                        tuple(operands(*bounds)
                              for bounds in _step_plan(sizes, batch_size)),
-                       loss)
+                       tuple(operands(row, row + 1, 0, n)
+                             for row, n in enumerate(sizes)))
 
 
 _WORKSPACE = _Workspace()
@@ -374,12 +346,9 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     workspace assumes the simulator's single thread: two concurrent calls
     would share it.
 
-    The final loss runs over row blocks of ``LOSS_ROWS``.  A row's logits
-    from a block equal those from the whole shard because the blocks start
-    on the BLAS kernel's row panels and no block but a one-row shard is a
-    single row, which numpy hands to a matrix-vector kernel instead.  The
-    blocks can be this wide because BLAS is pinned to one thread (see
-    ``vecafl``), so no block product is split over threads.
+    The final loss is one forward pass per learner over its shard in its
+    original row order, the first product reading the shard itself, so
+    every product has the shapes of ``cross_entropy``'s.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -406,14 +375,14 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     hots = [np.eye(arch[-1])[batch.labels] for batch in batches]
     last = len(arch) - 2
 
-    def forward(step):
-        """Class probabilities of the step's rows, left in its last output.
+    def forward(step, h):
+        """Class probabilities of input rows ``h`` through the step's
+        layers, left in its last output.
 
         The row max is taken down the columns of a column-major copy, one
         vectorised pass per class; a max does not depend on the order of
         its terms, and the sign of a zero max reaches no later value.
         """
-        h = step.inputs
         for k, (w, b, z) in enumerate(step.layers):
             np.matmul(h, w, out=z)
             z += b
@@ -430,7 +399,7 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
         return h
 
     def train(step):
-        delta = forward(step)
+        delta = forward(step, step.inputs)
         delta -= step.targets
         delta /= step.rows
         for a_t, gw, gb, w_t, error, a in step.back:
@@ -454,16 +423,11 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
         for step in cohort.train:
             train(step)
 
-    for row, batch in enumerate(batches):
-        inputs[row, :len(batch)] = batch.inputs
-        cohort.labels[row, :len(batch)] = batch.labels
-    for step, picked, labels in cohort.loss:
-        picked[...] = np.take_along_axis(forward(step), labels,
-                                         axis=-1)[..., 0]
     out = [None] * len(order)
-    for row, i in enumerate(order):
+    for row, (i, batch, step) in enumerate(zip(order, batches, cohort.loss)):
+        probs = forward(step, batch.inputs[None])[0]
         out[i] = (ModelParams(stack[row].copy(), arch),
-                  _mean_nll(cohort.picked[row, :sizes[row]]))
+                  _mean_nll(probs[np.arange(len(batch)), batch.labels]))
     return out
 
 

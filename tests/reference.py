@@ -35,18 +35,13 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def gradient(params: ModelParams, batch: LabeledBatch) -> ModelParams:
-    """Exact gradient of the mean cross entropy over the batch.
-
-    On a cohort stack (see ``forward_stack``) with (g, n) labels, each
-    learner gets the gradient of the mean over its own n rows.
-    """
-    n = batch.labels.shape[-1]
+    """Exact gradient of the mean cross entropy over the batch."""
+    n = len(batch)
     if n == 0:
         raise ValueError("empty batch")
     logits, acts = forward_stack(params, batch.inputs)
     dlogits = softmax(logits)
-    rows = dlogits.reshape(-1, dlogits.shape[-1])  # a view: softmax is fresh
-    rows[np.arange(len(rows)), batch.labels.ravel()] -= 1.0
+    dlogits[np.arange(n), batch.labels] -= 1.0
     dlogits /= n
     grads, _ = backprop_from_logits(params, acts, dlogits)
     return grads

@@ -9,9 +9,8 @@ from conftest import (balanced_batch, make_params, params_allclose,
                       params_equal, tiny_122_net)
 from vecafl import model
 from reference import biases, forward, gradient, solo_sgd, weights
-from vecafl.model import (LOSS_ROWS, LabeledBatch, ModelParams,
-                          _step_plan, cross_entropy, evaluate,
-                          forward_stack, init_params, load_params,
+from vecafl.model import (LabeledBatch, ModelParams, _layer_views,
+                          cross_entropy, evaluate, init_params, load_params,
                           params_axpy, params_combine, params_copy,
                           params_from_bytes, params_mean, params_scale,
                           params_to_bytes, save_params, sgd_step,
@@ -73,11 +72,14 @@ def test_layers_are_views_of_the_vector_in_layout_order():
 
 
 def test_cohort_layers_carry_the_learner_axis():
+    # the cohort workspace views its (g, P) parameter stack this way
     p = init_params((3, 2, 4), substream(2, "cohort"))
-    stack = ModelParams(np.stack([p.vector, 2 * p.vector]), p.architecture)
-    assert [w.shape for w in weights(stack)] == [(2, 3, 2), (2, 2, 4)]
-    assert [b.shape for b in biases(stack)] == [(2, 2), (2, 4)]
-    assert np.array_equal(weights(stack)[1][1], 2 * weights(p)[1])
+    stack = np.stack([p.vector, 2 * p.vector])
+    layers = _layer_views(stack, p.architecture)
+    assert [w.shape for w, _ in layers] == [(2, 3, 2), (2, 2, 4)]
+    assert [b.shape for _, b in layers] == [(2, 2), (2, 4)]
+    assert np.array_equal(layers[1][0][1], 2 * weights(p)[1])
+    assert all(np.shares_memory(a, stack) for layer in layers for a in layer)
 
 
 def test_weights_then_biases_positions():
@@ -461,46 +463,43 @@ def test_a_nan_cohort_leaves_the_next_of_its_shape_clean(monkeypatch):
     assert clean() == want
 
 
-@pytest.mark.parametrize("arch", [(64, 32, 10), (8, 6, 5, 10)])
-def test_loss_blocks_reproduce_whole_shard_logits(arch):
-    # train_cohort scores the final model in these row blocks; each
-    # block's logits must equal the same rows of the whole-shard forward
-    params = init_params(arch, substream(22, "blocks"))
-    one = ModelParams(params.vector[None], arch)
-    for n in (1, 2, 3, 9, LOSS_ROWS - 1, LOSS_ROWS + 1, 2 * LOSS_ROWS + 1,
-              250, 1000):
-        x = random_shard(n, arch[0], n).inputs
-        whole, _ = forward_stack(params, x)
-        bounds = [(lo, hi) for _, _, lo, hi in
-                  _step_plan([n], LOSS_ROWS, join_lone_row=True)]
-        assert bounds[0][0] == 0 and bounds[-1][1] == n
-        assert [hi for _, hi in bounds[:-1]] == [lo for lo, _ in bounds[1:]]
-        for lo, hi in bounds:
-            # on the kernel's row panels, and never a lone row but n == 1
-            assert lo % LOSS_ROWS == 0 and (hi - lo > 1 or n == 1)
-            got, _ = forward_stack(one, x[None, lo:hi])
-            assert np.array_equal(got[0], whole[lo:hi])
+def shards_across_row_panels():
+    """One trained cohort whose shards sit on both sides of the row counts
+    where a BLAS kernel could cut a product differently."""
+    sizes = [1, 2, 255, 256, 257, 513, 1000]
+    starts = [init_params((64, 32, 10), substream(60, "whole", i))
+              for i in range(len(sizes))]
+    shards = [random_shard(n, 64, 60 + i) for i, n in enumerate(sizes)]
+    yield starts, shards, 1
 
 
-def test_cohort_final_loss_when_the_last_block_would_be_one_row():
-    # a one-row block goes to a matrix-vector kernel whose sums differ
-    # from the whole-shard product's; the last row dominates the loss here,
-    # so a differing logit shows in the loss for many of the draws
+def last_row_dominates():
+    """40 untrained cohorts of one, each a scaled-up start whose last row
+    gets its least likely label, so a change in that row's logits shows in
+    the loss."""
     for seed in range(40):
         params = params_scale(init_params((64, 32, 10),
                                           substream(seed, "lone")), 3.0)
-        x = substream(seed, "lone-x").uniform(0.0, 1.0, (LOSS_ROWS + 1, 64))
+        x = substream(seed, "lone-x").uniform(0.0, 1.0, (257, 64))
         probs = forward(params, x)
         labels = probs.argmax(axis=1)
         labels[-1] = probs[-1].argmin()
-        shard = LabeledBatch(x, labels)
-        (_, loss), = train_cohort([params], [shard], [substream(seed)], 0,
-                                  0.1, 8)
-        assert loss == cross_entropy(params, shard)
+        yield [params], [LabeledBatch(x, labels)], 0
+
+
+@pytest.mark.parametrize("cohorts", [shards_across_row_panels,
+                                     last_row_dominates],
+                         ids=lambda cohorts: cohorts.__name__)
+def test_cohort_final_loss_is_cross_entropy_on_the_whole_shard(cohorts):
+    for starts, shards, rounds in cohorts():
+        rngs = [substream(61, "whole", i) for i in range(len(shards))]
+        out = train_cohort(starts, shards, rngs, rounds, 0.005, 32)
+        for (trained, loss), shard in zip(out, shards):
+            assert loss == cross_entropy(trained, shard)
 
 
 def test_gradient_matches_plain_two_dimensional_backprop():
-    # the rank-generic kernel against the textbook 2-d form, bit for bit
+    # the backprop core against the textbook form, bit for bit
     params = init_params((8, 6, 5, 10), substream(8, "grad"))
     batch = random_shard(13, 8, 9)
     w, b = weights(params), biases(params)
@@ -595,6 +594,8 @@ def test_params_file_round_trip(tmp_path):
 def test_params_reject_wrong_length():
     with pytest.raises(ValueError, match="expected 8 values"):
         ModelParams(np.zeros(7), (3, 2))
+    with pytest.raises(ValueError, match="expected 8 values"):
+        ModelParams(np.zeros((2, 8)), (3, 2))
     with pytest.raises(ValueError, match="expected 8 values"):
         ModelParams(np.zeros((2, 2, 8)), (3, 2))
 

@@ -1,5 +1,5 @@
 """The byte-identity oracle's file comparison, on two small directories,
-and its clean-up when it is stopped.
+byte for byte and with ``--floats``, and its clean-up when it is stopped.
 
 ``tools/oracle.py`` runs whole experiments in two trees; what decides its
 verdict is ``differing_files``, tested here without running a cell.
@@ -10,9 +10,13 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from vecafl.harness import MetricsRow
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -56,6 +60,37 @@ def test_every_changed_or_one_sided_file_is_named(oracle, tmp_path):
     assert oracle.differing_files(a, b) == [
         "ddafl/checkpoint/actor.bin", "ddafl/metrics.csv",
         "plain_afl/metrics.csv", "sync_fl/test_digests.txt"]
+
+
+def _rows(**changed) -> bytes:
+    """A ``rows.txt`` of three metrics rows; ``changed`` sets fields of the
+    third."""
+    rows = [MetricsRow("ddafl-s3", "ddafl", 1, slot, slot + 0.25, 0.5,
+                       0.5, float("nan"), 0.0, 3, 12.5, "9f3e1c")
+            for slot in range(3)]
+    rows[2] = replace(rows[2], **changed)
+    return "".join(repr(row) + "\n" for row in rows).encode()
+
+
+def test_floats_within_the_tolerance_match(oracle, tmp_path):
+    # one bit in the last place of a float, and a nan on both sides
+    a = _write(tmp_path / "a", {**FILES, "ddafl/rows.txt": _rows()})
+    b = _write(tmp_path / "b", {**FILES, "ddafl/rows.txt": _rows(
+        avg_loss=float(np.nextafter(2.25, 3.0)))})
+    assert oracle.differing_files(a, b) == ["ddafl/rows.txt"]
+    assert oracle.differing_files(a, b, 1e-12) == []
+
+
+@pytest.mark.parametrize("changed", [
+    {"avg_loss": 2.25 * (1 + 1e-9)}, {"accepted_count": 4},
+    {"config_hash": "9f3e1d"}, {"reward": 0.0}])
+def test_floats_past_the_tolerance_name_the_first_row(oracle, tmp_path,
+                                                      changed):
+    a = _write(tmp_path / "a", {**FILES, "ddafl/rows.txt": _rows()})
+    b = _write(tmp_path / "b", {**FILES, "ddafl/rows.txt": _rows(**changed),
+                                "sync_fl/test_digests.txt": b"d9c5\n"})
+    assert oracle.differing_files(a, b, 1e-12) == [
+        "ddafl/rows.txt (row 3)", "sync_fl/test_digests.txt"]
 
 
 def _drivers(top: Path) -> list:

@@ -1,6 +1,6 @@
 """Byte-identity oracle: do this tree and a git revision write the same files?
 
-    python3 tools/oracle.py --against <rev>
+    python3 tools/oracle.py --against <rev> [--floats 1e-12]
 
 Exports ``<rev>`` with ``git archive`` into a temporary directory, then runs
 the same fixed set of cells in both trees, one process per tree, side by
@@ -15,16 +15,23 @@ redeploy, the training digests for the sweep), so a change in what the
 environment draws shows even where no output file carries it, and
 ``rows.txt``, the ``repr`` of every metrics row, whose floats keep all 17
 digits where ``metrics.csv`` prints nine: a sum taken in another order
-shows there.  Every file is compared by sha256.  Exits 0 when all are
-byte-identical and 1 naming every file that differs or exists on one side
-only; 2 when a run fails or the revision cannot be exported.  Killed by
-SIGTERM or interrupted, it stops both runs and removes its temporary
-directory before it exits.
+shows there.  Every file is compared by sha256.  With ``--floats REL``
+each ``rows.txt`` is compared field by field instead: a float within a
+relative ``REL`` of its counterpart (a nan of a nan) matches, any other
+field must match exactly, and the file is named with its first differing
+row; the other files keep their sha256 check, so a sum reordered in
+training still shows in the checkpoint.  Exits 0 when all files match and
+1 naming every file that differs or exists on one side only; 2 when a run
+fails or the revision cannot be exported.  Killed by SIGTERM or
+interrupted, it stops both runs and removes its temporary directory before
+it exits.
 """
 
 import argparse
 import hashlib
+import math
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -97,11 +104,60 @@ def file_digests(top: Path) -> dict:
     return out
 
 
-def differing_files(a: Path, b: Path) -> list:
+# a field of a ``rows.txt`` line, the repr of a MetricsRow: name=value
+FIELD = re.compile(r"(\w+)=('(?:[^'\\]|\\.)*'|[^,)]*)")
+INT = re.compile(r"-?\d+")
+
+
+def _fields_match(x: str, y: str, rel: float) -> bool:
+    """Two repr'd fields: a float within ``rel`` of the other, or equal."""
+    if x == y:
+        return True
+    try:
+        fx, fy = float(x), float(y)
+    except ValueError:
+        return False  # a string matches only itself
+    if INT.fullmatch(x) or INT.fullmatch(y):
+        return False  # and so does an int
+    if math.isnan(fx) or math.isnan(fy):
+        return math.isnan(fx) and math.isnan(fy)
+    return abs(fx - fy) <= rel * max(abs(fx), abs(fy))
+
+
+def first_differing_row(a: Path, b: Path, rel: float):
+    """1-based number of the first line of two ``rows.txt`` files whose
+    fields differ beyond ``rel`` (see ``_fields_match``), or None."""
+    rows_a = a.read_text().splitlines()
+    rows_b = b.read_text().splitlines()
+    for number, (x, y) in enumerate(zip(rows_a, rows_b), 1):
+        # the same field names in the same frame, then value by value
+        if FIELD.sub(r"\1=", x) != FIELD.sub(r"\1=", y) or not all(
+                _fields_match(vx, vy, rel) for (_, vx), (_, vy)
+                in zip(FIELD.findall(x), FIELD.findall(y))):
+            return number
+    if len(rows_a) != len(rows_b):
+        return min(len(rows_a), len(rows_b)) + 1
+    return None
+
+
+def differing_files(a: Path, b: Path, floats=None) -> list:
     """Relative paths whose bytes differ between the two trees, or that
-    exist in only one of them, sorted."""
+    exist in only one of them, sorted.  With ``floats`` a ``rows.txt`` on
+    both sides differs only past that relative tolerance, and is named
+    with its first differing row."""
     da, db = file_digests(a), file_digests(b)
-    return sorted(p for p in set(da) | set(db) if da.get(p) != db.get(p))
+    out = []
+    for path in sorted(set(da) | set(db)):
+        if da.get(path) == db.get(path):
+            continue
+        if floats is not None and path.endswith("rows.txt") \
+                and path in da and path in db:
+            row = first_differing_row(a / path, b / path, floats)
+            if row is not None:
+                out.append(f"{path} (row {row})")
+        else:
+            out.append(path)
+    return out
 
 
 def export_revision(rev: str, dest: Path) -> str:
@@ -139,6 +195,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True,
                         help="git revision to compare this tree with")
+    parser.add_argument("--floats", type=float, metavar="REL",
+                        help="compare rows.txt floats within this relative "
+                             "tolerance instead of byte for byte")
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
@@ -168,7 +227,7 @@ def main(argv=None) -> int:
             return 2
         here, there = (out for _, out in runs.values())
         count = len(set(file_digests(here)) | set(file_digests(there)))
-        differ = differing_files(here, there)
+        differ = differing_files(here, there, args.floats)
     finally:
         for proc in procs.values():
             if proc.poll() is None:
@@ -179,7 +238,9 @@ def main(argv=None) -> int:
     wall = time.perf_counter() - start
     for path in differ:
         print(f"DIFFERS  {path}")
-    print(f"{count - len(differ)} of {count} files byte-identical against "
+    match = ("byte-identical" if args.floats is None
+             else f"matching (rows.txt floats within {args.floats:g})")
+    print(f"{count - len(differ)} of {count} files {match} against "
           f"{full[:12]} ({wall:.0f} s)")
     return 1 if differ else 0
 
