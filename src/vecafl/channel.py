@@ -9,30 +9,8 @@ the Shannon rate under distance path loss.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class LinkBudget:
-    """Static uplink radio constants.
-
-    bandwidth_hz   channel bandwidth
-    tx_power_w     vehicle transmit power
-    noise_power_w  receiver noise power over the band
-    path_loss_exp  distance attenuation exponent
-    """
-
-    bandwidth_hz: float = 1000.0
-    tx_power_w: float = 0.25
-    noise_power_w: float = 1e-12
-    path_loss_exp: float = 2.0
-
-    def __post_init__(self):
-        for field in ("bandwidth_hz", "tx_power_w", "noise_power_w"):
-            if getattr(self, field) <= 0.0:
-                raise ValueError(f"{field} must be positive")
 
 
 def advance_position(start_x, speed: float, slot_index: int,
@@ -140,12 +118,12 @@ def evolve_gain(gain: complex, rho: float, innovation: complex) -> complex:
     return rho * gain + innovation * math.sqrt(1.0 - rho * rho)
 
 
-def transmission_rate(link: LinkBudget, gain: complex,
-                      distance: float) -> float:
-    """Shannon uplink rate in bit/s at the given gain and separation."""
+def transmission_rate(cfg, gain: complex, distance: float) -> float:
+    """Shannon uplink rate in bit/s at the given gain and separation,
+    under the radio keys of ``cfg`` (a ``SimConfig``)."""
     if distance <= 0.0:
         raise ValueError("distance must be positive")
     power_gain = abs(gain) ** 2
-    snr = (link.tx_power_w * power_gain * distance ** (-link.path_loss_exp)
-           / link.noise_power_w)
-    return link.bandwidth_hz * math.log2(1.0 + snr)
+    snr = (cfg.tx_power_w * power_gain * distance ** (-cfg.path_loss_exp)
+           / cfg.noise_power_w)
+    return cfg.bandwidth_hz * math.log2(1.0 + snr)

@@ -8,6 +8,7 @@ complaining about.
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .data import ATTACK_KINDS, NUM_CLASSES
@@ -120,13 +121,13 @@ def _parse_value(key: str, text: str):
         raise ConfigError(f"bad value for key '{key}': {text!r}") from exc
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
+def _format_value(ftype, value) -> str:
+    if ftype is bool:
         return "true" if value else "false"
-    if isinstance(value, tuple):
+    if ftype is tuple:
         return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
+    if ftype is float:
+        return repr(float(value))
     return str(value)
 
 
@@ -162,7 +163,7 @@ def save_config(cfg: SimConfig, path) -> None:
 
 
 def canonical_text(cfg: SimConfig) -> str:
-    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}"
+    lines = [f"{f.name} = {_format_value(f.type, getattr(cfg, f.name))}"
              for f in fields(SimConfig)]
     return "\n".join(lines) + "\n"
 
@@ -210,10 +211,31 @@ def samples_needed(cfg: SimConfig) -> int:
     return vehicles + cfg.rsu_shard_size + cfg.eval_size
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# what a key of each type may hold: the values that its config line reads
+# back as equal, under the same hash; numpy integers count as integers, and
+# a float key takes an integer that a float holds exactly
+_TYPE_CHECKS = {
+    int: (_is_int, "an integer"),
+    float: (lambda v: isinstance(v, float) or _is_int(v) and abs(v) <= 2 ** 53,
+            "a float or an integer of at most 2**53"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    tuple: (lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+            "a tuple of integers"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def validate_config(cfg: SimConfig) -> SimConfig:
     for key, ftype in _FIELD_TYPES.items():
+        value = getattr(cfg, key)
+        holds, what = _TYPE_CHECKS[ftype]
+        _require(holds(value), key, f"must be {what}, got {value!r}")
         if ftype is float:
-            _require(math.isfinite(getattr(cfg, key)), key, "must be finite")
+            _require(math.isfinite(value), key, "must be finite")
 
     positive_ints = ("vehicle_count", "model_bits", "dataset_size",
                      "feature_dim", "shard_size", "rsu_shard_size",

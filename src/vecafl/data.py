@@ -16,19 +16,15 @@ NUM_CLASSES = 10
 
 @dataclass
 class DataShard:
-    """A participant's local dataset plus its tampering annotations."""
+    """A participant's local dataset and, once ``World.set_attacks`` has
+    made one, the tampered copy it trains on."""
 
     batch: LabeledBatch
-    attack: str = "none"
-    attacked: LabeledBatch = field(default=None, repr=False)
+    tampered: LabeledBatch = field(default=None, repr=False)
 
     def training_view(self) -> LabeledBatch:
-        """The data actually trained on (tampered copy when attacked)."""
-        if self.attack == "none":
-            return self.batch
-        if self.attacked is None:
-            self.attacked = apply_attack(self.batch, self.attack)
-        return self.attacked
+        """The data trained on: the tampered copy when there is one."""
+        return self.batch if self.tampered is None else self.tampered
 
 
 def _check_batch(batch: LabeledBatch) -> None:
@@ -97,8 +93,7 @@ def partition(dataset: LabeledBatch, shard_sizes, rsu_size: int,
         cuts.append(order[pos:pos + s])
         pos += s
     rest = order[pos:]
-    take = lambda idx: LabeledBatch(dataset.inputs[idx].copy(),
-                                    dataset.labels[idx].copy())
+    take = lambda idx: LabeledBatch(dataset.inputs[idx], dataset.labels[idx])
     return [take(c) for c in cuts[:-1]], take(cuts[-1]), take(rest)
 
 
@@ -117,14 +112,6 @@ def data_flip(batch: LabeledBatch) -> LabeledBatch:
 
 ATTACKS = {"class_flip": class_flip, "data_flip": data_flip}
 ATTACK_KINDS = ("none", *ATTACKS)
-
-
-def apply_attack(batch: LabeledBatch, kind: str) -> LabeledBatch:
-    if kind == "none":
-        return batch
-    if kind not in ATTACKS:
-        raise ValueError(f"unknown attack kind {kind!r}")
-    return ATTACKS[kind](batch)
 
 
 def degrade_bad_node(params: ModelParams, noise_scale: float,

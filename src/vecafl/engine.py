@@ -355,8 +355,7 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
                 substream(seed, "global-init", phase, *tags)))
             trusted_model = GlobalModel(params_copy(global_model.params)) \
                 if scheme.defense else None
-        if cfg.attack != "none" and attacked_ids:
-            world.set_attacks(attacked_ids, cfg.attack)
+        world.set_attacks(attacked_ids, cfg.attack)
         prev_action = np.ones(k)
         for slot in range(1, cfg.slots_per_episode + 1):
             weights, mask = select_fn(world, prev_action)

@@ -62,14 +62,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_metrics(rows, path) -> None:
-    """CSV with a fixed header; floats at nine significant digits."""
-    names = [f.name for f in fields(MetricsRow)]
+def _write_csv(path, header, rows) -> None:
+    """CSV under ``header``; floats at nine significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, n)) for n in names])
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def emit_metrics(rows, path) -> None:
+    """The metrics rows as CSV, one column per ``MetricsRow`` field."""
+    names = [f.name for f in fields(MetricsRow)]
+    _write_csv(path, names, ([getattr(row, n) for n in names] for row in rows))
 
 
 def _phase_rows(records, run_id: str, scheme: str, cfg_hash: str,
@@ -115,10 +119,7 @@ def resolve_attacked_ids(cfg: SimConfig, actor, dataset, seed: int,
         return tuple(range(min(count, k)))
     world = World(cfg, dataset, seed, "test", 1)
     weights, mask = ddpg.greedy_select(actor, cfg)(world, np.ones(k))
-    admitted = sorted(np.flatnonzero(mask), key=lambda v: (-weights[v], v))
-    rest = sorted((v for v in range(k) if not mask[v]),
-                  key=lambda v: (-weights[v], v))
-    ranked = list(admitted) + list(rest)
+    ranked = sorted(range(k), key=lambda v: (not mask[v], -weights[v], v))
     return tuple(sorted(ranked[:count]))
 
 
@@ -214,6 +215,8 @@ def attack_sweep(cfg: SimConfig, seed: int, fractions, attack_kind: str,
     if attack_kind not in ATTACKS:
         raise ValueError(f"unknown attack kind {attack_kind!r}; pick one of "
                          f"{tuple(ATTACKS)}")
+    if not all(0.0 <= f <= 1.0 for f in fractions):
+        raise ConfigError("fractions must lie in [0, 1]")
     base = replace(cfg, attack="none")
     dataset = build_dataset(base, seed)
     train_res = ddpg.train(base, dataset, seed)
@@ -226,9 +229,8 @@ def attack_sweep(cfg: SimConfig, seed: int, fractions, attack_kind: str,
         count = int(round(fraction * k))
         probe = replace(cfg, attack=attack_kind if count else "none")
         ids = resolve_attacked_ids(probe, actor, dataset, seed, count)
-        kind = attack_kind if ids else "none"
+        cell_cfg = replace(probe, attacked_vehicles=ids)
         for scheme in ("ddafl", "ddafl_no_defense"):
-            cell_cfg = replace(cfg, attack=kind, attacked_vehicles=ids)
             phase, cell_rows = _deploy(
                 scheme, cell_cfg, dataset, seed, select, ids,
                 f"sweep-{attack_kind}-f{fraction:g}-{scheme}-s{seed}")
@@ -241,16 +243,10 @@ def attack_sweep(cfg: SimConfig, seed: int, fractions, attack_kind: str,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         emit_metrics(rows, os.path.join(out_dir, "sweep_metrics.csv"))
-        with open(os.path.join(out_dir, "sweep_summary.csv"), "w",
-                  newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["fraction", "scheme", "attacked_ids",
-                             "final_error_rate", "final_accuracy",
-                             "final_avg_loss"])
-            for c in cells:
-                writer.writerow([_fmt(c.fraction), c.scheme,
-                                 " ".join(str(i) for i in c.attacked_ids),
-                                 _fmt(c.final_error_rate),
-                                 _fmt(c.final_accuracy),
-                                 _fmt(c.final_avg_loss)])
+        _write_csv(os.path.join(out_dir, "sweep_summary.csv"),
+                   [f.name for f in fields(SweepCell)],
+                   ([c.fraction, c.scheme,
+                     " ".join(str(i) for i in c.attacked_ids),
+                     c.final_error_rate, c.final_accuracy, c.final_avg_loss]
+                    for c in cells))
     return cells, rows, train_res

@@ -19,11 +19,12 @@ import hashlib
 import numpy as np
 from scipy import special
 
-from .channel import (LinkBudget, advance_position, channel_correlation,
+from .channel import (advance_position, channel_correlation,
                       complex_gaussian, doppler_freq, evolve_gain,
                       lane_geometry, transmission_rate)
 from .config import SAMPLE_BUDGET, SimConfig, samples_needed, shard_sizes
-from .data import DataShard, LabeledBatch, partition, synthetic_blobs, load_csv
+from .data import (ATTACK_KINDS, ATTACKS, DataShard, LabeledBatch, load_csv,
+                   partition, synthetic_blobs)
 from .rng import substream
 
 
@@ -112,8 +113,6 @@ class World:
         self.phase = phase
         self.episode = episode
         self.slot = 0
-        self.link = LinkBudget(cfg.bandwidth_hz, cfg.tx_power_w,
-                               cfg.noise_power_w, cfg.path_loss_exp)
         self._hash = hashlib.sha256()
 
         shards, rsu_batch, rest = partition(
@@ -198,7 +197,7 @@ class World:
         self._fold_slot_draws()
 
     def rates(self) -> np.ndarray:
-        return np.array([transmission_rate(self.link, gain, dist)
+        return np.array([transmission_rate(self.cfg, gain, dist)
                          for gain, dist in zip(self.gains.tolist(),
                                                self.distance.tolist())])
 
@@ -214,20 +213,24 @@ class World:
     # -- data views ---------------------------------------------------------
 
     def set_attacks(self, attacked_ids, kind: str) -> None:
+        """Make this episode's tampered copies, once, by
+        ``data.ATTACKS[kind]``; ``"none"`` or no ids changes nothing."""
+        if kind not in ATTACK_KINDS:
+            raise ValueError(f"unknown attack kind {kind!r}")
+        if kind == "none" or not attacked_ids:
+            return
         for vid in attacked_ids:
-            self.shards[vid].attack = kind
-            self.shards[vid].attacked = None
+            self.shards[vid].tampered = ATTACKS[kind](self.shards[vid].batch)
         self._hash.update(("attack:" + kind + ":"
                            + ",".join(str(v) for v in sorted(attacked_ids)))
                           .encode())
 
     def training_batch(self, vid: int) -> LabeledBatch:
-        """What the vehicle trains on this slot, tampering included."""
-        shard = self.shards[vid]
-        if shard.attack != "none" and not self.cfg.attack_persistent \
-                and self.slot % 2 == 1:
-            return shard.batch  # transient tampering skips odd slots
-        return shard.training_view()
+        """What the vehicle trains on this slot: its tampered copy, if any,
+        but the clean shard on odd slots when tampering is transient."""
+        if not self.cfg.attack_persistent and self.slot % 2 == 1:
+            return self.shards[vid].batch
+        return self.shards[vid].training_view()
 
     def rsu_batch_intact(self) -> bool:
         """Trusted shard must never pass through an attack path."""

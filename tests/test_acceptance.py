@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from vecafl import ddpg
-from vecafl.channel import (LinkBudget, advance_position, bessel_j0,
+from vecafl.channel import (advance_position, bessel_j0,
                             channel_correlation, complex_gaussian,
                             doppler_freq, evolve_gain, lane_geometry,
                             transmission_rate)
@@ -141,7 +141,6 @@ def _kernel_oracle_errors():
         worst[name] = max(worst.get(name, 0.0), err)
 
     rng = np.random.default_rng(20260817)
-    link = LinkBudget()
     cfg = SimConfig()
     for _ in range(100):
         sx = rng.uniform(-400.0, 100.0)
@@ -182,11 +181,11 @@ def _kernel_oracle_errors():
 
         g = complex_gaussian(rng)
         d = rng.uniform(5.0, 500.0)
-        snr_o = (mpf(link.tx_power_w) * (mpf(g.real) ** 2 + mpf(g.imag) ** 2)
-                 * mpf(d) ** mpf(-link.path_loss_exp)
-                 / mpf(link.noise_power_w))
-        rate_o = mpf(link.bandwidth_hz) * mpmath.log(1 + snr_o) / mpmath.log(2)
-        track("rate", _mp_rel(transmission_rate(link, g, d), rate_o))
+        snr_o = (mpf(cfg.tx_power_w) * (mpf(g.real) ** 2 + mpf(g.imag) ** 2)
+                 * mpf(d) ** mpf(-cfg.path_loss_exp)
+                 / mpf(cfg.noise_power_w))
+        rate_o = mpf(cfg.bandwidth_hz) * mpmath.log(1 + snr_o) / mpmath.log(2)
+        track("rate", _mp_rel(transmission_rate(cfg, g, d), rate_o))
 
         samples = int(rng.integers(1, 5001))
         cyc = rng.uniform(1e5, 1e7)

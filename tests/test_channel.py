@@ -10,10 +10,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from vecafl.channel import (LinkBudget, advance_position, bessel_j0,
+from vecafl.channel import (advance_position, bessel_j0,
                             channel_correlation, complex_gaussian,
                             doppler_freq, evolve_gain, lane_geometry,
                             transmission_rate)
+from vecafl.config import SimConfig
 from vecafl.rng import substream
 
 
@@ -182,33 +183,26 @@ def test_complex_gaussian_unit_second_moment():
 # -- Shannon rate ------------------------------------------------------------
 
 
+# the default radio: 1 kHz, 0.25 W, 1e-12 W of noise, path loss exponent 2
+RADIO = SimConfig()
+
+
 def test_rate_table_constants():
-    link = LinkBudget(1000.0, 0.25, 1e-12, 2.0)
-    rate = transmission_rate(link, complex(1.0, 0.0), 1.0)
+    rate = transmission_rate(RADIO, complex(1.0, 0.0), 1.0)
     assert rate == pytest.approx(37863.137138654119, abs=1.0)
     assert rate == pytest.approx(37863.137138654119, rel=1e-12)
 
 
 def test_rate_zero_gain():
-    link = LinkBudget(1000.0, 0.25, 1e-12, 2.0)
-    assert transmission_rate(link, 0.0, 1.0) == 0.0
+    assert transmission_rate(RADIO, 0.0, 1.0) == 0.0
 
 
 def test_rate_distance_power_law():
-    link = LinkBudget(1000.0, 0.25, 1e-12, 2.0)
-    snr = lambda d: 2.0 ** (transmission_rate(link, 1.0, d)
-                            / link.bandwidth_hz) - 1.0
+    snr = lambda d: 2.0 ** (transmission_rate(RADIO, 1.0, d)
+                            / RADIO.bandwidth_hz) - 1.0
     assert snr(2.0) == pytest.approx(snr(1.0) / 4.0, rel=1e-9)
 
 
 def test_rate_rejects_nonpositive_distance():
-    link = LinkBudget()
     with pytest.raises(ValueError):
-        transmission_rate(link, 1.0, 0.0)
-
-
-def test_link_budget_validation():
-    with pytest.raises(ValueError):
-        LinkBudget(bandwidth_hz=0.0)
-    with pytest.raises(ValueError):
-        LinkBudget(noise_power_w=-1.0)
+        transmission_rate(RADIO, 1.0, 0.0)

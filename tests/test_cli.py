@@ -201,6 +201,15 @@ def test_bad_sweep_fraction_exits_2(cfg_file, capsys):
     assert "fractions must lie in [0, 1]" in capsys.readouterr().err
 
 
+def test_sweep_refuses_a_scheme(cfg_file, capsys):
+    # the sweep always deploys ddafl with and without the filter
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--attack", "class_flip", "--scheme", "nonsense",
+              "--config", cfg_file, "--seed", "1"])
+    assert exit_.value.code == 2
+    assert "--scheme" in capsys.readouterr().err
+
+
 def test_sweep_with_explicit_attacked_vehicles_exits_2(cfg_file, tmp_path,
                                                        capsys):
     path = tmp_path / "ids.cfg"

@@ -5,6 +5,7 @@ import os
 import tempfile
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +135,9 @@ REJECTED = [
     ("local_batch", 1001),               # exceeds shard_size
     ("local_lr", -0.1),
     ("action_floor", 0.0),    # every selection weight could clip to 0
+    ("bandwidth_hz", 0.0),    # the uplink rate needs a positive radio
+    ("tx_power_w", 0.0),
+    ("noise_power_w", 0.0),
 ]
 
 
@@ -166,6 +170,44 @@ def test_float_fields_cover_the_unchecked_keys():
     assert {"tx_power_w", "compute_max_hz", "blob_spread",
             "loss_ratio_limit", "local_lr", "bad_noise_scale",
             "path_loss_exp"} <= set(FLOAT_FIELDS)
+
+
+# values built in Python: each is refused naming its key, or its config
+# line reads back as an equal config under the same hash
+TYPED = [
+    pytest.param("speed_mps", 20, False, id="int_for_float"),
+    pytest.param("local_lr", np.float64(0.01), False, id="numpy_float"),
+    pytest.param("vehicle_count", np.int64(5), False, id="numpy_int"),
+    pytest.param("attacked_vehicles", (np.int64(1),), False,
+                 id="numpy_int_ids"),
+    pytest.param("vehicle_count", 5.0, True, id="float_for_int"),
+    pytest.param("vehicle_count", True, True, id="bool_for_int"),
+    pytest.param("attack_persistent", "false", True, id="str_for_bool"),
+    pytest.param("loss_avg_accepted_only", 1, True, id="int_for_bool"),
+    pytest.param("attacked_vehicles", [1], True, id="list_for_tuple"),
+    pytest.param("attacked_vehicles", (1.0,), True, id="float_id"),
+    pytest.param("classifier_arch", [64, 32, 10], True, id="list_arch"),
+    pytest.param("speed_mps", "20", True, id="str_for_float"),
+    pytest.param("speed_mps", False, True, id="bool_for_float"),
+    pytest.param("local_lr", np.float32(0.01), True, id="float32"),
+    pytest.param("speed_mps", 10 ** 400, True, id="int_past_float"),
+]
+
+
+@pytest.mark.parametrize("field,value,refused", TYPED)
+def test_validation_refuses_or_round_trips_each_value_type(
+        tmp_path, field, value, refused):
+    cfg = replace(SimConfig(), **{field: value})
+    if refused:
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            validate_config(cfg)
+        return
+    validate_config(cfg)
+    path = tmp_path / "config.txt"
+    save_config(cfg, path)
+    loaded = load_config(path)
+    assert loaded == cfg
+    assert config_hash(loaded) == config_hash(cfg)
 
 
 def test_load_rejects_infinite_value(tmp_path):

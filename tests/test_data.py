@@ -7,9 +7,8 @@ import pytest
 
 from conftest import params_equal
 from reference import biases, weights
-from vecafl.data import (DataShard, apply_attack, class_flip, data_flip,
-                         degrade_bad_node, load_csv, partition,
-                         synthetic_blobs)
+from vecafl.data import (class_flip, data_flip, degrade_bad_node, load_csv,
+                         partition, synthetic_blobs)
 from vecafl.model import LabeledBatch, init_params
 from vecafl.rng import substream
 
@@ -107,34 +106,12 @@ def test_data_flip_fixed_point_and_involution():
     assert np.allclose(data_flip(data_flip(rand)).inputs, rand.inputs)
 
 
-def test_apply_attack_dispatch():
-    batch = synthetic_blobs(20, 4, substream(14, "data"))
-    assert apply_attack(batch, "none") is batch
-    assert np.array_equal(apply_attack(batch, "class_flip").labels,
-                          9 - batch.labels)
-    assert np.array_equal(apply_attack(batch, "data_flip").inputs,
-                          1.0 - batch.inputs)
-    with pytest.raises(ValueError, match="'bitflip'"):
-        apply_attack(batch, "bitflip")
-
-
 def test_attacks_reject_malformed_batches():
     bad = LabeledBatch(np.full((2, 2), 1.5), np.array([0, 1]))
     with pytest.raises(ValueError):
         class_flip(bad)
     with pytest.raises(ValueError):
         data_flip(LabeledBatch(np.zeros((2, 2)), np.array([0, 10])))
-
-
-def test_shard_training_view_caches_tampered_copy():
-    batch = synthetic_blobs(30, 4, substream(15, "data"))
-    shard = DataShard(batch=batch)
-    assert shard.training_view() is batch
-    shard.attack = "class_flip"
-    view = shard.training_view()
-    assert np.array_equal(view.labels, 9 - batch.labels)
-    assert shard.training_view() is view  # cached
-    assert np.array_equal(shard.batch.labels, batch.labels)  # original intact
 
 
 # -- degraded uploads ----------------------------------------------------------

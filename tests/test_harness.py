@@ -266,6 +266,14 @@ def test_sweep_refuses_explicit_attacked_vehicles():
         attack_sweep(cfg, 3, (0.0, 0.2, 0.4), "class_flip")
 
 
+@pytest.mark.parametrize("fraction", [1.5, -0.2, float("nan")])
+def test_sweep_refuses_a_fraction_outside_0_1(fraction):
+    # 1.5 once recorded fraction 1.5 with every vehicle tampered, and -0.2
+    # deployed clean
+    with pytest.raises(ConfigError, match=r"fractions must lie in \[0, 1\]"):
+        attack_sweep(tiny_cfg(), 1, (0.0, fraction), "class_flip")
+
+
 def test_sweep_rejects_unknown_attack():
     with pytest.raises(ValueError, match="'bitflip'"):
         attack_sweep(tiny_cfg(), 1, (0.0,), "bitflip")

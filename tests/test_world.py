@@ -184,7 +184,7 @@ def test_rates_are_the_shannon_rate_at_the_lane_distance():
     for _ in range(cfg.slots_per_episode):
         dist, _ = lane_geometry(world.positions(), cfg.lane_offset_m,
                                 cfg.rsu_height_m)
-        want = [transmission_rate(world.link, gain, d)
+        want = [transmission_rate(cfg, gain, d)
                 for gain, d in zip(world.gains.tolist(), dist.tolist())]
         assert world.rates().tolist() == want
         world.advance()
@@ -208,6 +208,32 @@ def test_set_attacks_flips_training_view_only():
     other = world.training_batch(0)
     assert np.array_equal(other.labels, world.shards[0].batch.labels)
     assert world.rsu_batch_intact()
+
+
+def test_set_attacks_names_an_unknown_kind():
+    world, _ = make_world()
+    with pytest.raises(ValueError, match="'bitflip'"):
+        world.set_attacks((1,), "bitflip")
+
+
+@pytest.mark.parametrize("ids,kind", [((1,), "none"), ((), "class_flip")])
+def test_set_attacks_without_tampering_changes_nothing(ids, kind):
+    world, _ = make_world()
+    digest = world.digest()
+    world.set_attacks(ids, kind)
+    assert world.digest() == digest
+    for vid, shard in enumerate(world.shards):
+        assert world.training_batch(vid) is shard.batch
+
+
+def test_set_attacks_makes_one_tampered_copy_per_episode():
+    world, cfg = make_world()
+    world.set_attacks((1,), "class_flip")
+    seen = world.training_batch(1)
+    assert seen is not world.shards[1].batch
+    for _ in range(cfg.slots_per_episode):
+        world.advance()
+        assert world.training_batch(1) is seen
 
 
 def test_data_flip_attack_view():

@@ -45,7 +45,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # Runs inside each tree, with that tree's src first on the path, so it uses
 # only names both sides define.
 DRIVER = """
-import os, sys
+import os, signal, sys
+signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})  # oracle blocked it
 from dataclasses import replace
 import vecafl
 from vecafl import cli, harness
@@ -213,8 +214,14 @@ def main(argv=None) -> int:
             return 2
         runs = {"this tree": (ROOT, scratch / "out-here"),
                 full[:12]: (scratch / "tree", scratch / "out-there")}
-        for name, (tree, out) in runs.items():
-            procs[name] = start_driver(tree, out)
+        # a SIGTERM while a driver starts would exit before the driver is
+        # in procs, for the finally below to stop; it waits until both are
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            for name, (tree, out) in runs.items():
+                procs[name] = start_driver(tree, out)
+        finally:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
         failed = False
         for name, proc in procs.items():
             log, _ = proc.communicate()
