@@ -19,8 +19,6 @@ def advance_position(start_x, speed: float, slot_index: int,
     ``start_x`` is a float or an array of them."""
     if slot_index < 0:
         raise ValueError("slot_index must be nonnegative")
-    if slot_duration <= 0.0:
-        raise ValueError("slot_duration must be positive")
     return start_x + speed * (slot_index * slot_duration)
 
 
@@ -42,8 +40,6 @@ def lane_geometry(x: np.ndarray, lane_offset: float, antenna_height: float):
 
 def doppler_freq(speed: float, wavelength: float, cos_theta: float) -> float:
     """Doppler shift in Hz for motion at ``speed`` along ``cos_theta``."""
-    if wavelength <= 0.0:
-        raise ValueError("wavelength must be positive")
     return (speed / wavelength) * cos_theta
 
 
@@ -96,8 +92,6 @@ def bessel_j0(x: float) -> float:
 
 def channel_correlation(doppler_hz: float, slot_duration: float) -> float:
     """Gain correlation across one slot; sign-symmetric in the Doppler."""
-    if slot_duration <= 0.0:
-        raise ValueError("slot_duration must be positive")
     return bessel_j0(2.0 * math.pi * doppler_hz * slot_duration)
 
 

@@ -48,7 +48,7 @@ class SimConfig:
 
     # --- data ------------------------------------------------------------
     dataset_path: str = ""          # CSV of label,f1..fd; empty = synthetic
-    dataset_size: int = 6000        # synthetic sample count
+    dataset_size: int = 6000        # synthetic sample count; unused with a CSV
     feature_dim: int = 64
     blob_spread: float = 0.30       # synthetic cluster standard deviation
     shard_size: int = 1000          # per-vehicle samples; ~0.5 s local delay at mean compute
@@ -302,8 +302,10 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     _require(arch[-1] == NUM_CLASSES, "classifier_arch",
              f"output width must be {NUM_CLASSES}")
 
+    # dataset_size sizes only the synthetic blobs; build_dataset checks a
+    # CSV's row count against the same budget and names the file
     budget = samples_needed(cfg)
-    _require(budget <= cfg.dataset_size, "dataset_size",
+    _require(cfg.dataset_path or budget <= cfg.dataset_size, "dataset_size",
              f"needs at least {budget} samples for the configured shards "
              f"({SAMPLE_BUDGET})")
 

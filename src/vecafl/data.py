@@ -39,7 +39,7 @@ def _check_batch(batch: LabeledBatch) -> None:
 
 
 def synthetic_blobs(n: int, dim: int, rng: np.random.Generator,
-                    spread: float = 0.08) -> LabeledBatch:
+                    spread: float) -> LabeledBatch:
     """Ten Gaussian clusters with centres inside [0.2, 0.8]^dim, clipped.
 
     Labels are balanced round-robin so every shard size yields all classes.
@@ -81,8 +81,6 @@ def partition(dataset: LabeledBatch, shard_sizes, rsu_size: int,
     as a clean held-out evaluation pool.
     """
     sizes = [int(s) for s in shard_sizes]
-    if any(s <= 0 for s in sizes) or rsu_size <= 0:
-        raise ValueError("shard sizes must be positive")
     needed = sum(sizes) + rsu_size
     if needed > len(dataset):
         raise ValueError(f"partition wants {needed} samples, "
@@ -117,8 +115,6 @@ ATTACK_KINDS = ("none", *ATTACKS)
 def degrade_bad_node(params: ModelParams, noise_scale: float,
                      rng: np.random.Generator) -> ModelParams:
     """Additive Gaussian corruption of an upload from a failing vehicle."""
-    if noise_scale < 0.0:
-        raise ValueError("noise_scale must be nonnegative")
     # one draw, spread over the weights first and the biases after them
     noise = np.empty_like(params.vector)
     noise[weights_then_biases(params.architecture)] = \

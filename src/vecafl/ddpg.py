@@ -22,7 +22,7 @@ from .engine import SCHEMES, Scheme, run_phase
 # evaluate is unused here but stays bound: perfbench's slot clock patches it
 from .model import (ModelParams, backprop_from_logits, evaluate,
                     forward_stack, init_params, load_params, params_axpy,
-                    params_combine, params_copy, save_params, sgd_step)
+                    params_combine, params_copy, save_params)
 from .rng import substream
 from .world import World
 
@@ -43,8 +43,6 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.states = np.empty((capacity, state_dim))
         self.actions = np.empty((capacity, action_dim))
@@ -179,7 +177,7 @@ def critic_update(nets: AgentNets, svecs: np.ndarray, avecs: np.ndarray,
     diff = q - targets
     dlogits = (2.0 / q.size) * diff[:, None]
     grads, _ = backprop_from_logits(nets.critic, acts, dlogits)
-    return sgd_step(nets.critic, grads, lr), float(np.mean(diff ** 2))
+    return params_axpy(nets.critic, grads, -lr), float(np.mean(diff ** 2))
 
 
 def actor_update(nets: AgentNets, svecs: np.ndarray, lr: float) -> ModelParams:
@@ -204,8 +202,6 @@ def actor_update(nets: AgentNets, svecs: np.ndarray, lr: float) -> ModelParams:
 def soft_update(target: ModelParams, online: ModelParams,
                 tau: float) -> ModelParams:
     """Move the target a fraction tau toward the online network."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must lie in (0, 1]")
     return params_combine(tau, online, 1.0 - tau, target)
 
 
@@ -329,9 +325,9 @@ def save_checkpoint(path, nets: AgentNets, cfg: SimConfig,
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def load_checkpoint(path, cfg: SimConfig = None):
-    """Read nets and manifest; with a config, refuse a mismatched hash or
-    net architecture.  Every ValueError names the file at fault."""
+def load_checkpoint(path, cfg: SimConfig):
+    """Read nets and manifest; refuse a hash or net architecture that does
+    not match ``cfg``.  Every ValueError names the file at fault."""
     where = os.path.join(path, "manifest.json")
     with open(where, encoding="utf-8") as fh:
         try:
@@ -342,17 +338,16 @@ def load_checkpoint(path, cfg: SimConfig = None):
                if not isinstance(manifest, dict) or key not in manifest]
     if missing:
         raise ValueError(f"{where}: missing {', '.join(missing)}")
-    if cfg is not None and manifest["config_hash"] != config_hash(cfg):
+    if manifest["config_hash"] != config_hash(cfg):
         raise ValueError(f"{where}: checkpoint was trained under a "
                          f"different config (hash {manifest['config_hash']})")
     loaded = {attr: load_params(os.path.join(path, fname))
               for attr, fname in _NET_FILES.items()}
-    if cfg is not None:
-        # _NET_FILES lists the actor and the critic, then their targets
-        for (attr, fname), want in zip(_NET_FILES.items(),
-                                       2 * _agent_architectures(cfg)):
-            got = loaded[attr].architecture
-            if got != want:
-                raise ValueError(f"{os.path.join(path, fname)}: architecture "
-                                 f"{got} does not match the config's {want}")
+    # _NET_FILES lists the actor and the critic, then their targets
+    for (attr, fname), want in zip(_NET_FILES.items(),
+                                   2 * _agent_architectures(cfg)):
+        got = loaded[attr].architecture
+        if got != want:
+            raise ValueError(f"{os.path.join(path, fname)}: architecture "
+                             f"{got} does not match the config's {want}")
     return AgentNets(**loaded), manifest

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import SimConfig
+from .config import SimConfig, validate_config
 from .data import degrade_bad_node
 from .model import (ModelParams, cross_entropy, evaluate, init_params,
                     params_combine, params_copy, params_mean, params_scale,
@@ -95,14 +95,10 @@ def local_delay(data_count: int, cycles_per_sample: float,
     """Seconds of local training: samples * cycles each / CPU frequency."""
     if compute_hz <= 0.0:
         raise ValueError("compute_hz must be positive")
-    if data_count < 0 or cycles_per_sample < 0:
-        raise ValueError("sample count and cycle cost must be nonnegative")
     return data_count * cycles_per_sample / compute_hz
 
 def upload_delay(model_bits: int, rate_bps: float) -> float:
     """Seconds on air for the fixed payload; inf when the link gives 0 b/s."""
-    if model_bits <= 0:
-        raise ValueError("model_bits must be positive")
     if rate_bps <= 0.0:
         return math.inf
     return model_bits / rate_bps
@@ -114,8 +110,6 @@ def staleness_weight(base: float, delay_s: float) -> float:
     With base in (0,1) the weight is bounded by base**(-0.5) no matter how
     small the delay, and falls monotonically as the delay grows.
     """
-    if not 0.0 < base < 1.0:
-        raise ValueError("staleness base must lie strictly between 0 and 1")
     if delay_s < 0.0:
         raise ValueError("delay must be nonnegative")
     return base ** (delay_s - 0.5)
@@ -130,8 +124,6 @@ def weighted_upload(params: ModelParams, local_weight: float,
 def global_update(global_model: GlobalModel, weighted: ModelParams,
                   mix: float) -> GlobalModel:
     """Fold one upload into the global model, keeping ``mix`` of the old."""
-    if not 0.0 < mix < 1.0:
-        raise ValueError("mix must lie strictly between 0 and 1")
     global_model.params = params_combine(mix, global_model.params,
                                          1.0 - mix, weighted)
     global_model.update_count += 1
@@ -144,8 +136,6 @@ def threshold_accept(local_loss: float, trusted_loss: float,
 
     The boundary case counts as acceptable.
     """
-    if ratio <= 0.0:
-        raise ValueError("ratio must be positive")
     if trusted_loss < 0.0 or local_loss < 0.0:
         raise ValueError("losses are nonnegative by construction")
     return local_loss <= ratio * trusted_loss
@@ -340,8 +330,10 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
     mask)`` picks the uploaders, ``scheme``'s round runs, ``compute_reward``
     scores it, the world advances, ``observe(world, weights, slot_result)``
     sees the advanced world, and the global model is evaluated on the fixed
-    ``world.eval_batch`` to complete the slot's record.
+    ``world.eval_batch`` to complete the slot's record.  ``cfg`` is
+    validated first, so a bad value fails here, naming its key.
     """
+    validate_config(cfg)
     k = cfg.vehicle_count
     records, digests = [], []
     admissions = np.zeros(k)

@@ -159,14 +159,6 @@ def _mean_nll(picked: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(picked, LOG_CLAMP))))
 
 
-def sgd_step(params: ModelParams, grads: ModelParams,
-             eta: float) -> ModelParams:
-    """One descent step; functional, leaves the inputs untouched."""
-    if eta < 0.0:
-        raise ValueError("learning rate must be nonnegative")
-    return params_axpy(params, grads, -eta)
-
-
 # cohort shapes whose operand records the workspace keeps: five vehicles
 # and the roadside learner make at most 19 shapes under one config
 _SHAPES_KEPT = 32
@@ -328,9 +320,9 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     memory.
 
     Each learner's result is bit-identical to training it alone, one
-    minibatch at a time, with the exact gradient and ``sgd_step`` and
-    scoring it with ``cross_entropy``: ``tests/reference.py`` holds that
-    solo reference.
+    minibatch at a time, with the exact gradient and the step
+    ``params_axpy(params, grads, -eta)``, and scoring it with
+    ``cross_entropy``: ``tests/reference.py`` holds that solo reference.
     The learners are ordered by shard size, largest first, so that every
     stacked operand is a view and each learner meets the matrix shapes, and
     so the summation order, of its solo run: see ``_step_plan``.  A short
@@ -350,10 +342,6 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     original row order, the first product reading the shard itself, so
     every product has the shapes of ``cross_entropy``'s.
     """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    if eta < 0.0:
-        raise ValueError("learning rate must be nonnegative")
     if not len(starts) == len(shards) == len(rngs):
         raise ValueError("one start, shard and rng per learner")
     if not starts:

@@ -58,8 +58,6 @@ def _truncnorm_draws(a: float, b: float, log_mass: float, loc: float,
     is ``_log_gauss_mass(a, b)``, which depends on the cut alone, so a
     caller that draws every slot works it out once.
     """
-    if not (a < b and scale > 0):
-        raise ValueError("truncated normal needs a < b and scale > 0")
     q = rng.uniform(size=size)
     if a < 0:
         log_tail, log_q = special.log_ndtr(a), np.log(q)

@@ -14,7 +14,7 @@ import numpy as np
 
 from vecafl.harness import MetricsRow
 from vecafl.model import (LabeledBatch, ModelParams, backprop_from_logits,
-                          cross_entropy, forward_stack, sgd_step, softmax)
+                          cross_entropy, forward_stack, params_axpy, softmax)
 
 
 def weights(params: ModelParams) -> list:
@@ -57,7 +57,7 @@ def solo_sgd(start, shard, rounds, eta, batch_size, rng):
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
             mb = LabeledBatch(shard.inputs[idx], shard.labels[idx])
-            params = sgd_step(params, gradient(params, mb), eta)
+            params = params_axpy(params, gradient(params, mb), -eta)
     return params, cross_entropy(params, shard)
 
 

@@ -172,6 +172,23 @@ def test_csv_of_the_sample_budget_runs_and_one_row_less_exits_2(
         assert (tmp_path / "run" / "metrics.csv").exists()
 
 
+def test_csv_run_ignores_dataset_size(cfg_file, tmp_path, capsys):
+    # dataset_size (400) sizes only the synthetic blobs; the shards take 450
+    data = tmp_path / "budget.csv"
+    rng = np.random.default_rng(0)
+    data.write_text("".join(f"{i % 10}," + ",".join(map(str, rng.random(6)))
+                            + "\n" for i in range(3 * 120 + 40 + 50)))
+    cfg = replace(load_config(cfg_file), dataset_path=str(data),
+                  shard_size=120)
+    assert cfg.dataset_size == 400
+    save_config(validate_config(cfg), tmp_path / "csv.cfg")
+    code = main(["baseline", "--scheme", "plain_afl", "--config",
+                 str(tmp_path / "csv.cfg"), "--seed", "1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "run" / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("text, why", [
     # at floor 0 every selection weight clipped to 0 within these two
     # training episodes (seed 1), and the slot reward then raised naming

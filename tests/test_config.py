@@ -138,6 +138,18 @@ REJECTED = [
     ("bandwidth_hz", 0.0),    # the uplink rate needs a positive radio
     ("tx_power_w", 0.0),
     ("noise_power_w", 0.0),
+    ("wavelength_m", 0.0),    # the Doppler shift divides by it
+    ("bad_noise_scale", -0.1),
+    ("shard_size", 0),
+    ("rsu_shard_size", 0),
+    ("compute_std_hz", 0.0),  # the CPU draw's truncation divides by it
+    ("cycles_per_sample", 0.0),
+    ("stale_base_upload", 1.0),
+    ("loss_ratio_limit", 0.0),
+    ("local_batch", 0),
+    ("critic_lr", -1e-3),
+    ("replay_capacity", 0),
+    ("soft_tau", 0.0),
 ]
 
 

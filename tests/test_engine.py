@@ -19,7 +19,7 @@ import vecafl
 from conftest import make_params, params_allclose
 from reference import biases, weights
 from vecafl import engine
-from vecafl.config import SimConfig, validate_config
+from vecafl.config import ConfigError, SimConfig, validate_config
 from vecafl.engine import (SCHEMES, FilterSoundnessError, GlobalModel,
                            TrustedShardError, compute_reward, global_update,
                            local_delay, run_afl_slot, run_phase,
@@ -63,8 +63,6 @@ def test_local_delay_inverse_in_compute():
         == pytest.approx(local_delay(1000, 1e6, 2e9) / 2.0, abs=1e-15)
     with pytest.raises(ValueError):
         local_delay(1000, 1e6, 0.0)
-    with pytest.raises(ValueError):
-        local_delay(-1, 1e6, 2e9)
 
 
 def test_upload_delay_hand_cases():
@@ -73,8 +71,6 @@ def test_upload_delay_hand_cases():
     assert upload_delay(5000, 5000.0) == 1.0
     assert upload_delay(5000, 0.0) == math.inf
     assert upload_delay(5000, 1e18) < 1e-11
-    with pytest.raises(ValueError):
-        upload_delay(0, 5000.0)
 
 
 # -- staleness weights ----------------------------------------------------------
@@ -99,8 +95,6 @@ def test_staleness_weight_bounds_and_monotonicity():
 
 
 def test_staleness_weight_rejects_bad_args():
-    with pytest.raises(ValueError):
-        staleness_weight(1.0, 0.5)
     with pytest.raises(ValueError):
         staleness_weight(0.9, -0.1)
 
@@ -187,8 +181,6 @@ def test_global_update_stays_between_old_and_upload(arch, mix, scales, same,
 def test_global_update_rejects_bad_mix_and_shape():
     gm = GlobalModel(init_params((3, 4), substream(35, "gu")))
     with pytest.raises(ValueError):
-        global_update(gm, gm.params, 1.0)
-    with pytest.raises(ValueError):
         global_update(gm, init_params((3, 5), substream(35, "gu")), 0.5)
 
 
@@ -210,8 +202,6 @@ def test_threshold_zero_loss_accepts():
 def test_threshold_rejects_bad_args():
     with pytest.raises(ValueError):
         threshold_accept(-0.1, 0.8, 1.25)
-    with pytest.raises(ValueError):
-        threshold_accept(0.1, 0.8, 0.0)
 
 
 # -- slot mechanics ---------------------------------------------------------------
@@ -591,3 +581,19 @@ def test_restart_global_starts_each_episode_from_its_own_draw(
         assert np.array_equal(start.vector, phase_draw) \
             == (not restart and episode == 1)
     assert sorted(starts) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("key,value", [("agg_mix", 1.0),
+                                       ("wavelength_m", 0.0)])
+def test_run_phase_refuses_a_bad_config_before_any_slot(key, value):
+    cfg = tiny_cfg()
+    ds = build_dataset(cfg, 65)
+    calls = []
+
+    def select(world, prev_action):
+        calls.append(world.slot)
+        return np.ones(3), np.ones(3, dtype=bool)
+
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        run_phase(replace(cfg, **{key: value}), ds, 65, "test", 1, select)
+    assert calls == []
