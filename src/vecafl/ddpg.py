@@ -11,6 +11,8 @@ shared dense-stack machinery.
 import hashlib
 import json
 import math
+import mmap
+import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -222,6 +224,82 @@ class TrainResult:
     rng_digest: str
 
 
+class _Learner:
+    """The agent's four nets and updates, in a process forked by ``train``.
+    It writes each new actor, and all four nets at the pipe's EOF, into a
+    ``MAP_SHARED`` buffer, so nothing larger than a minibatch is pickled.
+    EOF, from ``close`` or a dead parent, ends it."""
+
+    def __init__(self, nets: AgentNets, cfg: SimConfig):
+        self.nets, self.cfg, self.pending = nets, cfg, None
+        sizes = [getattr(nets, name).vector.size for name in _NET_FILES]
+        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
+        self._shared = dict(zip(_NET_FILES,
+                                np.split(flat, np.cumsum(sizes)[:-1])))
+        ctx = multiprocessing.get_context("fork")
+        self._conn, end = ctx.Pipe()
+        self._proc = ctx.Process(target=self._serve, args=(end,), daemon=True)
+        self._proc.start()
+        end.close()
+
+    def close(self) -> None:
+        self._conn.close()        # EOF: the learner shares its nets and exits
+        self._proc.join()
+
+    def _serve(self, conn) -> None:
+        self._conn.close()        # so that a dead parent means EOF
+        os.nice(19)               # on a shared CPU, the slot loop goes first
+        nets, cfg = self.nets, self.cfg
+        try:
+            while True:
+                svecs, avecs, rews, nvecs = conn.recv()
+                targets = critic_targets(nets, rews, nvecs, cfg.discount)
+                nets.critic, mse = critic_update(nets, svecs, avecs, targets,
+                                                 cfg.critic_lr)
+                nets.actor = actor_update(nets, svecs, cfg.actor_lr)
+                finite = (math.isfinite(mse)
+                          and np.isfinite(nets.critic.vector).all()
+                          and np.isfinite(nets.actor.vector).all())
+                if finite:
+                    nets.target_critic = soft_update(nets.target_critic,
+                                                     nets.critic, cfg.soft_tau)
+                    nets.target_actor = soft_update(nets.target_actor,
+                                                    nets.actor, cfg.soft_tau)
+                    self._shared["actor"][...] = nets.actor.vector
+                conn.send(finite)
+        except (EOFError, BrokenPipeError):
+            for name in _NET_FILES:
+                self._shared[name][...] = getattr(nets, name).vector
+
+    def update(self, batch, where) -> None:
+        self._conn.send(batch)
+        self.pending = where      # the (episode, slot) that names the update
+
+    def settle(self) -> None:
+        """Wait for the pending update and take its actor."""
+        (episode, slot), self.pending = self.pending, None
+        if not self._conn.recv():
+            raise TrainingDiverged(
+                f"training diverged in episode {episode}, slot {slot}: the "
+                f"critic loss or a network is not finite; lower critic_lr "
+                f"({self.cfg.critic_lr:g}) or actor_lr "
+                f"({self.cfg.actor_lr:g})")
+        self.nets.actor = self._take("actor")
+
+    def finish(self) -> AgentNets:
+        """Settle, end the learner and take all four nets."""
+        if self.pending is not None:
+            self.settle()
+        self.close()
+        if self._proc.exitcode != 0:
+            raise RuntimeError("the agent's learner process failed")
+        return AgentNets(*map(self._take, _NET_FILES))
+
+    def _take(self, name: str) -> ModelParams:
+        return ModelParams(self._shared[name].copy(),
+                           getattr(self.nets, name).architecture)
+
+
 def train(cfg: SimConfig, dataset, seed: int,
           scheme: Scheme = SCHEMES["ddafl"]) -> TrainResult:
     """Learn a selection policy over ``cfg.train_episodes`` episodes.
@@ -234,7 +312,9 @@ def train(cfg: SimConfig, dataset, seed: int,
     ``engine.run_phase``: the actor plus exploration noise selects, and
     each slot's transition is stored and learned from.  An update that
     leaves the critic's loss, the critic or the actor non-finite raises
-    ``TrainingDiverged``.
+    ``TrainingDiverged``.  Updates run in a ``_Learner`` while the next
+    slot trains on the old actor's pick; ``settle`` picks with the new one
+    and the same noise, so the bytes are those of an in-slot update.
     """
     validate_config(cfg)
     k = cfg.vehicle_count
@@ -250,9 +330,14 @@ def train(cfg: SimConfig, dataset, seed: int,
         if world.slot == 0:
             noise.reset()
             svec = state_vector(world, prev_action, cfg)
-        weights = np.clip(actor_forward(nets.actor, svec)
-                          + noise.sample(noise_rng), cfg.action_floor, 1.0)
-        return weights, binarize_action(weights)
+        state, draw = svec, noise.sample(noise_rng)
+
+        def pick():
+            weights = np.clip(actor_forward(nets.actor, state) + draw,
+                              cfg.action_floor, 1.0)
+            return weights, binarize_action(weights)
+        return pick() if learner.pending is None else (
+            *pick(), lambda: learner.settle() or pick())
 
     def observe(world: World, weights: np.ndarray, res):
         nonlocal svec
@@ -260,28 +345,18 @@ def train(cfg: SimConfig, dataset, seed: int,
         replay.push(svec, weights, res.reward, next_svec)
         svec = next_svec
         if len(replay) > cfg.replay_batch:
-            svecs, avecs, rews, nvecs = replay.sample(sample_rng,
-                                                      cfg.replay_batch)
-            targets = critic_targets(nets, rews, nvecs, cfg.discount)
-            nets.critic, mse = critic_update(nets, svecs, avecs, targets,
-                                             cfg.critic_lr)
-            nets.actor = actor_update(nets, svecs, cfg.actor_lr)
-            if not (math.isfinite(mse)
-                    and np.isfinite(nets.critic.vector).all()
-                    and np.isfinite(nets.actor.vector).all()):
-                raise TrainingDiverged(
-                    f"training diverged in episode {world.episode}, slot "
-                    f"{world.slot}: the critic loss or a network is not "
-                    f"finite; lower critic_lr ({cfg.critic_lr:g}) or "
-                    f"actor_lr ({cfg.actor_lr:g})")
-            nets.target_critic = soft_update(nets.target_critic,
-                                             nets.critic, cfg.soft_tau)
-            nets.target_actor = soft_update(nets.target_actor,
-                                            nets.actor, cfg.soft_tau)
+            learner.update(replay.sample(sample_rng, cfg.replay_batch),
+                           (world.episode, world.slot))
 
-    phase = run_phase(cfg, dataset, seed, "train", cfg.train_episodes,
-                      select, observe, scheme=scheme._replace(defense=False),
-                      restart_global=True)
+    learner = _Learner(nets, cfg)
+    try:
+        phase = run_phase(cfg, dataset, seed, "train", cfg.train_episodes,
+                          select, observe,
+                          scheme=scheme._replace(defense=False),
+                          restart_global=True)
+        nets = learner.finish()
+    finally:
+        learner.close()
     episode_rewards = np.zeros(cfg.train_episodes)
     for rec in phase.records:
         episode_rewards[rec.episode - 1] += rec.reward
@@ -327,7 +402,8 @@ def save_checkpoint(path, nets: AgentNets, cfg: SimConfig,
 
 def load_checkpoint(path, cfg: SimConfig):
     """Read nets and manifest; refuse a hash or net architecture that does
-    not match ``cfg``.  Every ValueError names the file at fault."""
+    not match ``cfg``, or a non-finite net value.  Every ValueError names
+    the file at fault."""
     where = os.path.join(path, "manifest.json")
     with open(where, encoding="utf-8") as fh:
         try:
@@ -350,4 +426,7 @@ def load_checkpoint(path, cfg: SimConfig):
         if got != want:
             raise ValueError(f"{os.path.join(path, fname)}: architecture "
                              f"{got} does not match the config's {want}")
+        if not np.isfinite(loaded[attr].vector).all():
+            raise ValueError(f"{os.path.join(path, fname)}: holds a "
+                             f"non-finite value")
     return AgentNets(**loaded), manifest

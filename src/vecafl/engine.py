@@ -9,6 +9,7 @@ screens tampered uploads before they reach the global model.
 deployment alike.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -299,7 +300,7 @@ def compute_reward(weights: np.ndarray, avg_loss: float, mean_delay: float,
     """
     weights = np.asarray(weights, dtype=float)
     total = float(weights.sum())
-    if total <= 0.0:
+    if not total > 0.0:
         raise ValueError("selection weights must sum to a positive value")
     loss_term = 0.0 if math.isnan(avg_loss) else avg_loss
     delay_term = 0.0 if math.isnan(mean_delay) else mean_delay
@@ -332,7 +333,17 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
     sees the advanced world, and the global model is evaluated on the fixed
     ``world.eval_batch`` to complete the slot's record.  ``cfg`` is
     validated first, so a bad value fails here, naming its key.
+
+    ``select_fn`` may add ``settle() -> (weights, mask)``, called after
+    the round; if its mask differs, the models go back to the head of the
+    slot and the round, which changes no World state, runs again on it.
     """
+    def play(mask) -> SlotResult:
+        if scheme.sync:
+            return sync_round(world, global_model, cfg)
+        return run_afl_slot(world, np.flatnonzero(mask), global_model,
+                            trusted_model, cfg, scheme)
+
     validate_config(cfg)
     k = cfg.vehicle_count
     records, digests = [], []
@@ -350,12 +361,14 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
         world.set_attacks(attacked_ids, cfg.attack)
         prev_action = np.ones(k)
         for slot in range(1, cfg.slots_per_episode + 1):
-            weights, mask = select_fn(world, prev_action)
-            if scheme.sync:
-                res = sync_round(world, global_model, cfg)
-            else:
-                res = run_afl_slot(world, np.flatnonzero(mask),
-                                   global_model, trusted_model, cfg, scheme)
+            weights, mask, *settle = select_fn(world, prev_action)
+            heads = copy.copy(global_model), copy.copy(trusted_model)
+            res = play(mask)
+            if settle:
+                early, (weights, mask) = mask, settle[0]()
+                if not np.array_equal(mask, early):
+                    global_model, trusted_model = heads
+                    res = play(mask)
             res.episode, res.slot = episode, slot
             res.reward = compute_reward(weights, res.avg_loss,
                                         res.mean_delay, cfg)

@@ -9,6 +9,7 @@ import pytest
 from vecafl.cli import main
 from vecafl.config import (SAMPLE_BUDGET, SimConfig, load_config,
                            save_config, validate_config)
+from vecafl.model import load_params, save_params
 
 
 @pytest.fixture()
@@ -81,6 +82,24 @@ def test_corrupt_checkpoint_exits_2_naming_the_file(cfg_file, tmp_path,
                  "--out", str(tmp_path / "redeploy")])
     assert code == 2
     assert "manifest.json: missing config_hash" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_nan_net_exits_2_naming_the_file(cfg_file,
+                                                           tmp_path, capsys):
+    # unchecked, the redeploy exited 0 with nan rewards in every row
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg_file, "--seed", "3",
+                 "--out", str(run)]) == 0
+    actor = run / "checkpoint" / "actor.bin"
+    params = load_params(actor)
+    params.vector[:] = np.nan
+    save_params(params, actor)
+    code = main(["test", "--checkpoint", str(run / "checkpoint"),
+                 "--config", cfg_file, "--seed", "3",
+                 "--out", str(tmp_path / "redeploy")])
+    assert code == 2
+    assert f"{actor}: holds a non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "redeploy" / "metrics.csv").exists()
 
 
 def test_diverging_training_exits_2_naming_the_rates(cfg_file, tmp_path,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -238,6 +239,13 @@ def test_reward_rejects_zero_weight_sum():
     cfg = validate_config(SimConfig())
     with pytest.raises(ValueError):
         compute_reward(np.zeros(5), 0.5, 0.6, cfg)
+
+
+def test_reward_rejects_a_nan_weight_sum():
+    # a nan sum passed the old "total <= 0.0" check and scored nan
+    cfg = validate_config(SimConfig())
+    with pytest.raises(ValueError, match="positive"):
+        compute_reward(np.array([np.nan, 1.0, 1.0, 1.0, 1.0]), 0.5, 0.6, cfg)
 
 
 def test_reward_never_positive():
@@ -477,6 +485,55 @@ def test_train_raises_when_an_update_diverges(critic_lr, actor_lr, where):
             match=f"in {where}: .* {re.escape(rates)}$"):
         ddpg.train(cfg, ds, 2)
     assert issubclass(ddpg.TrainingDiverged, ValueError)
+    assert multiprocessing.active_children() == []
+
+
+def test_train_leaves_no_learner_process_running():
+    cfg = agent_cfg()
+    out = ddpg.train(cfg, build_dataset(cfg, 34), 34)
+    assert not params_equal(out.nets.critic, init_agent(cfg, 34).critic)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_learner_whose_pipe_closes_exits_within_a_second():
+    # a parent that dies closes its end of the pipe just so
+    cfg = agent_cfg()
+    learner = ddpg._Learner(init_agent(cfg, 35), cfg)
+    learner._conn.close()
+    learner._proc.join(1.0)
+    assert learner._proc.exitcode == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_the_learner_updates_as_the_slot_did():
+    # the learner's nets after a few minibatches are those of running the
+    # same update sequence in this process
+    cfg = agent_cfg()
+    rng = substream(36, "batches")
+    batches = [(rng.random((2, 12)), rng.random((2, 3)), -rng.random(2),
+                rng.random((2, 12))) for _ in range(4)]
+    here = init_agent(cfg, 36)
+    learner = ddpg._Learner(init_agent(cfg, 36), cfg)
+    try:
+        for i, (svecs, avecs, rews, nvecs) in enumerate(batches):
+            learner.update((svecs, avecs, rews, nvecs), (1, i))
+            targets = critic_targets(here, rews, nvecs, cfg.discount)
+            here.critic, _ = critic_update(here, svecs, avecs, targets,
+                                           cfg.critic_lr)
+            here.actor = actor_update(here, svecs, cfg.actor_lr)
+            here.target_critic = soft_update(here.target_critic, here.critic,
+                                             cfg.soft_tau)
+            here.target_actor = soft_update(here.target_actor, here.actor,
+                                            cfg.soft_tau)
+            learner.settle()
+            assert params_to_bytes(learner.nets.actor) \
+                == params_to_bytes(here.actor)
+        there = learner.finish()
+    finally:
+        learner.close()
+    for name in ("actor", "critic", "target_actor", "target_critic"):
+        assert params_to_bytes(getattr(there, name)) \
+            == params_to_bytes(getattr(here, name))
 
 
 def test_deployment_leaves_actor_untouched():
@@ -527,6 +584,17 @@ def saved_checkpoint(tmp_path, seed=35):
     cfg = agent_cfg()
     ddpg.save_checkpoint(tmp_path / "ck", init_agent(cfg, seed), cfg, 1)
     return cfg, tmp_path / "ck"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_refuses_a_non_finite_net(tmp_path, bad):
+    cfg = agent_cfg()
+    nets = init_agent(cfg, 37)
+    nets.target_critic.vector[3] = bad
+    ddpg.save_checkpoint(tmp_path / "ck", nets, cfg, 1)
+    where = re.escape(str(tmp_path / "ck" / "target_critic.bin"))
+    with pytest.raises(ValueError, match=f"^{where}: holds a non-finite"):
+        ddpg.load_checkpoint(tmp_path / "ck", cfg)
 
 
 def test_checkpoint_refuses_a_net_of_another_architecture(tmp_path):

@@ -583,6 +583,53 @@ def test_restart_global_starts_each_episode_from_its_own_draw(
     assert sorted(starts) == [1, 2, 3]
 
 
+def shifting_select(world, prev_action):
+    """Admit all but one vehicle, a different one each slot."""
+    mask = np.arange(3) != (world.episode + world.slot) % 3
+    return np.where(mask, 0.9, 0.2), mask
+
+
+@pytest.mark.parametrize("scheme", ["ddafl", "plain_afl", "sync_fl"])
+@pytest.mark.parametrize("early_right", [False, True])
+def test_a_settled_selection_runs_as_if_selected_directly(
+        monkeypatch, scheme, early_right):
+    # select picks early; when settle's mask differs, the round runs again
+    # from the head of the slot, across episodes of one global model
+    cfg = tiny_cfg()
+    ds = build_dataset(cfg, 66)
+    seen = {"direct": [], "settled": []}
+
+    def direct(world, prev_action):
+        seen["direct"].append(prev_action.copy())
+        return shifting_select(world, prev_action)
+
+    def early(world, prev_action):
+        seen["settled"].append(prev_action.copy())
+        weights, mask = shifting_select(world, prev_action)
+        if early_right:
+            return weights, mask, lambda: (weights, mask)
+        return np.full(3, 0.6), ~mask, lambda: (weights, mask)
+
+    rounds = []
+    for name in ("run_afl_slot", "sync_round"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *a, _real=real, **kw: (
+            rounds.append(1), _real(*a, **kw))[1])
+    want = run_phase(cfg, ds, 66, "test", 2, direct, scheme=SCHEMES[scheme])
+    slots = len(want.records)
+    assert len(rounds) == slots
+    got = run_phase(cfg, ds, 66, "test", 2, early, scheme=SCHEMES[scheme])
+    assert len(rounds) == slots + (1 if early_right else 2) * slots
+    assert [repr(r) for r in got.records] == [repr(r) for r in want.records]
+    assert got.digests == want.digests
+    assert np.array_equal(got.admissions, want.admissions)
+    assert got.global_model.update_count == want.global_model.update_count
+    assert np.array_equal(got.global_model.params.vector,
+                          want.global_model.params.vector)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(seen["settled"], seen["direct"], strict=True))
+
+
 @pytest.mark.parametrize("key,value", [("agg_mix", 1.0),
                                        ("wavelength_m", 0.0)])
 def test_run_phase_refuses_a_bad_config_before_any_slot(key, value):
