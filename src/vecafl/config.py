@@ -10,6 +10,7 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 from .data import ATTACK_KINDS, NUM_CLASSES
 
@@ -100,35 +101,40 @@ class SimConfig:
     slots_per_episode: int = 20     # N
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+_BOOL_TEXT = {**dict.fromkeys(("true", "yes", "1"), True),
+              **dict.fromkeys(("false", "no", "0"), False)}
+
+
+class _Type(NamedTuple):
+    read: Callable      # line text -> value; ValueError, KeyError if bad
+    write: Callable     # value -> its config line's text
+    holds: Callable     # may a key of this type hold the value?
+    what: str           # the values it holds, for the error message
+
+
+# one row per value type; a key holds the values that its config line reads
+# back as equal, under the same hash: numpy integers count as integers, and
+# a float key takes an integer that a float holds exactly
+_TYPES = {
+    int: _Type(int, str, _is_int, "an integer"),
+    float: _Type(float, lambda v: repr(float(v)),
+                 lambda v: isinstance(v, float)
+                 or _is_int(v) and abs(v) <= 2 ** 53,
+                 "a float or an integer of at most 2**53"),
+    bool: _Type(lambda t: _BOOL_TEXT[t.lower()],
+                lambda v: "true" if v else "false",
+                lambda v: isinstance(v, bool), "true or false"),
+    tuple: _Type(lambda t: tuple(int(p) for p in t.split(",")) if t else (),
+                 lambda v: ",".join(str(n) for n in v),
+                 lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+                 "a tuple of integers"),
+    str: _Type(str, str, lambda v: isinstance(v, str), "a string"),
+}
 _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
-
-
-def _parse_value(key: str, text: str):
-    ftype = _FIELD_TYPES[key]
-    text = text.strip()
-    try:
-        if ftype is bool:
-            low = text.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(text)
-        if ftype is tuple:
-            return tuple(int(p) for p in text.split(",")) if text else ()
-        return ftype(text)  # int, float or str
-    except ValueError as exc:
-        raise ConfigError(f"bad value for key '{key}': {text!r}") from exc
-
-
-def _format_value(ftype, value) -> str:
-    if ftype is bool:
-        return "true" if value else "false"
-    if ftype is tuple:
-        return ",".join(str(v) for v in value)
-    if ftype is float:
-        return repr(float(value))
-    return str(value)
 
 
 def load_config(path) -> SimConfig:
@@ -143,15 +149,18 @@ def load_config(path) -> SimConfig:
             if "=" not in stripped:
                 raise ConfigError(f"line {lineno}: expected 'key = value', "
                                   f"got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
+            key, _, text = (part.strip() for part in stripped.partition("="))
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key '{key}'")
             if key in lines:
                 raise ConfigError(f"config key '{key}' set twice, on lines "
                                   f"{lines[key]} and {lineno}")
             lines[key] = lineno
-            overrides[key] = _parse_value(key, value)
+            try:
+                overrides[key] = _TYPES[_FIELD_TYPES[key]].read(text)
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(f"bad value for key '{key}': {text!r}") \
+                    from exc
     cfg = SimConfig(**overrides)
     validate_config(cfg)
     return cfg
@@ -163,8 +172,8 @@ def save_config(cfg: SimConfig, path) -> None:
 
 
 def canonical_text(cfg: SimConfig) -> str:
-    lines = [f"{f.name} = {_format_value(f.type, getattr(cfg, f.name))}"
-             for f in fields(SimConfig)]
+    lines = [f"{key} = {_TYPES[ftype].write(getattr(cfg, key))}"
+             for key, ftype in _FIELD_TYPES.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -211,49 +220,27 @@ def samples_needed(cfg: SimConfig) -> int:
     return vehicles + cfg.rsu_shard_size + cfg.eval_size
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-# what a key of each type may hold: the values that its config line reads
-# back as equal, under the same hash; numpy integers count as integers, and
-# a float key takes an integer that a float holds exactly
-_TYPE_CHECKS = {
-    int: (_is_int, "an integer"),
-    float: (lambda v: isinstance(v, float) or _is_int(v) and abs(v) <= 2 ** 53,
-            "a float or an integer of at most 2**53"),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    tuple: (lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
-            "a tuple of integers"),
-    str: (lambda v: isinstance(v, str), "a string"),
-}
-
-
 def validate_config(cfg: SimConfig) -> SimConfig:
     for key, ftype in _FIELD_TYPES.items():
         value = getattr(cfg, key)
-        holds, what = _TYPE_CHECKS[ftype]
-        _require(holds(value), key, f"must be {what}, got {value!r}")
+        kind = _TYPES[ftype]
+        _require(kind.holds(value), key, f"must be {kind.what}, got {value!r}")
         if ftype is float:
             _require(math.isfinite(value), key, "must be finite")
 
-    positive_ints = ("vehicle_count", "model_bits", "dataset_size",
-                     "feature_dim", "shard_size", "rsu_shard_size",
-                     "eval_size", "local_rounds", "local_batch", "hidden1",
-                     "hidden2", "replay_capacity", "replay_batch",
-                     "train_episodes", "test_episodes", "slots_per_episode",
-                     "bad_shard_divisor", "bad_compute_divisor")
-    for key in positive_ints:
-        _require(getattr(cfg, key) >= 1, key, "must be a positive integer")
-
-    positive_floats = ("slot_seconds", "rsu_height_m", "coverage_radius_m",
-                       "wavelength_m", "bandwidth_hz", "tx_power_w",
-                       "noise_power_w", "cycles_per_sample",
-                       "compute_mean_hz", "compute_std_hz", "compute_min_hz",
-                       "compute_max_hz", "blob_spread", "rate_norm_mult",
-                       "loss_ratio_limit", "ou_variance")
-    for key in positive_floats:
-        _require(getattr(cfg, key) > 0.0, key, "must be positive")
+    positive = ("vehicle_count", "model_bits", "dataset_size", "feature_dim",
+                "shard_size", "rsu_shard_size", "eval_size", "local_rounds",
+                "local_batch", "hidden1", "hidden2", "replay_capacity",
+                "replay_batch", "train_episodes", "test_episodes",
+                "slots_per_episode", "bad_shard_divisor",
+                "bad_compute_divisor", "slot_seconds", "rsu_height_m",
+                "coverage_radius_m", "wavelength_m", "bandwidth_hz",
+                "tx_power_w", "noise_power_w", "cycles_per_sample",
+                "compute_mean_hz", "compute_std_hz", "compute_min_hz",
+                "compute_max_hz", "blob_spread", "rate_norm_mult",
+                "loss_ratio_limit", "ou_variance")
+    for key in positive:
+        _require(getattr(cfg, key) > 0, key, "must be positive")
 
     nonnegative = ("speed_mps", "lane_offset_m", "bad_noise_scale",
                    "local_lr", "actor_lr", "critic_lr", "loss_weight",

@@ -215,6 +215,10 @@ class TrainingDiverged(ValueError):
     """An agent update left a non-finite critic loss or network."""
 
 
+class LearnerFailed(RuntimeError):
+    """The learner process died, or exited with a non-zero code."""
+
+
 @dataclass
 class TrainResult:
     nets: AgentNets
@@ -271,14 +275,21 @@ class _Learner:
             for name in _NET_FILES:
                 self._shared[name][...] = getattr(nets, name).vector
 
+    def _pipe(self, io, *args):
+        try:
+            return io(*args)
+        except (EOFError, OSError):   # the learner died: finish raises
+            self.finish()             # LearnerFailed with its exit code
+            raise
+
     def update(self, batch, where) -> None:
-        self._conn.send(batch)
+        self._pipe(self._conn.send, batch)
         self.pending = where      # the (episode, slot) that names the update
 
     def settle(self) -> None:
         """Wait for the pending update and take its actor."""
         (episode, slot), self.pending = self.pending, None
-        if not self._conn.recv():
+        if not self._pipe(self._conn.recv):
             raise TrainingDiverged(
                 f"training diverged in episode {episode}, slot {slot}: the "
                 f"critic loss or a network is not finite; lower critic_lr "
@@ -292,7 +303,8 @@ class _Learner:
             self.settle()
         self.close()
         if self._proc.exitcode != 0:
-            raise RuntimeError("the agent's learner process failed")
+            raise LearnerFailed(f"the agent's learner process exited with "
+                                f"code {self._proc.exitcode}")
         return AgentNets(*map(self._take, _NET_FILES))
 
     def _take(self, name: str) -> ModelParams:

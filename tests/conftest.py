@@ -1,10 +1,34 @@
 """Shared builders for the test suite."""
 
+import os
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vecafl
+from vecafl.config import SimConfig, validate_config
 from vecafl.model import LabeledBatch, ModelParams
 from vecafl.rng import substream
+
+
+def tiny_cfg(**overrides) -> SimConfig:
+    """A validated config that runs in moments: 3 vehicles, width 6, a
+    6-8-10 classifier, shards of 40, one local round of batch 10 and no
+    degraded vehicle; ``overrides`` go on top."""
+    base = dict(vehicle_count=3, feature_dim=6, classifier_arch=(6, 8, 10),
+                shard_size=40, rsu_shard_size=40, local_rounds=1,
+                local_batch=10, bad_vehicle=-1)
+    return validate_config(replace(SimConfig(), **{**base, **overrides}))
+
+
+def child_env(**extra) -> dict:
+    """This environment for a child interpreter: this tree's src first on
+    its path, and ``extra`` set."""
+    src = Path(vecafl.__file__).resolve().parents[1]
+    path = filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
 
 
 def make_params(weights, biases):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import vecafl
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -69,3 +71,7 @@ def test_slowest_durations_are_read_in_order(bench):
         {"seconds": 0.01, "step": "teardown",
          "test": "tests/test_x.py::test_y"},
     ]
+
+
+def test_the_machine_record_names_the_kernel_family_the_package_read(bench):
+    assert bench.machine()["openblas_core"] == vecafl.BLAS_CORE

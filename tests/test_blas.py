@@ -1,7 +1,6 @@
 """The package pins numpy's BLAS to one thread, so results do not depend on
 the thread count a host or an environment variable would give it."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import vecafl
-
-SRC = Path(vecafl.__file__).resolve().parents[1]
+from conftest import child_env
 NETS = ("actor.bin", "critic.bin", "target_actor.bin", "target_critic.bin")
 
 # 4 x 20 slots against a minibatch of 64: 16 updates of the default-width
@@ -32,9 +30,7 @@ print(vecafl.BLAS_THREADS)
 
 
 def train_in_child(out: Path, threads: str) -> str:
-    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(path))
+    env = child_env(OPENBLAS_NUM_THREADS=threads)
     done = subprocess.run([sys.executable, "-c", CHILD, str(out)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -45,6 +41,23 @@ def test_blas_is_pinned_to_one_thread():
     assert vecafl.BLAS_THREADS == 1
 
 
+def test_the_kernel_family_is_read_with_the_pin():
+    if vecafl.BLAS_THREADS == 1:
+        assert isinstance(vecafl.BLAS_CORE, str) and vecafl.BLAS_CORE
+
+
+@pytest.mark.skipif(vecafl.BLAS_CORE is None,
+                    reason="numpy bundles no scipy-openblas")
+def test_the_kernel_family_is_the_one_that_runs():
+    # OPENBLAS_CORETYPE is set in the child's environment only
+    done = subprocess.run(
+        [sys.executable, "-c", "import vecafl; print(vecafl.BLAS_CORE)"],
+        env=child_env(OPENBLAS_CORETYPE="Sandybridge"), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "Sandybridge"
+
+
 def test_pinning_warns_when_numpy_bundles_no_scipy_openblas(tmp_path,
                                                              monkeypatch):
     # as with a numpy built against a system BLAS
@@ -52,7 +65,7 @@ def test_pinning_warns_when_numpy_bundles_no_scipy_openblas(tmp_path,
     monkeypatch.setattr(vecafl, "np", SimpleNamespace(
         __file__=str(tmp_path / "numpy" / "__init__.py")))
     with pytest.warns(RuntimeWarning, match="scipy-openblas was not found"):
-        assert vecafl._pin_blas_to_one_thread() is None
+        assert vecafl._pin_blas_to_one_thread() == (None, None)
 
 
 def test_trained_nets_do_not_depend_on_the_blas_thread_setting(tmp_path):

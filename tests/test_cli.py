@@ -1,25 +1,25 @@
 """Command-line surface: exit codes, output files, seed resolution."""
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import child_env, tiny_cfg
 from vecafl.cli import main
-from vecafl.config import (SAMPLE_BUDGET, SimConfig, load_config,
-                           save_config, validate_config)
+from vecafl.config import (SAMPLE_BUDGET, load_config, save_config,
+                           validate_config)
 from vecafl.model import load_params, save_params
 
 
 @pytest.fixture()
 def cfg_file(tmp_path):
-    cfg = validate_config(replace(
-        SimConfig(), vehicle_count=3, dataset_size=400, feature_dim=6,
-        classifier_arch=(6, 8, 10), shard_size=40, rsu_shard_size=40,
-        eval_size=50, local_rounds=1, local_batch=10, slots_per_episode=3,
-        train_episodes=2, test_episodes=2, bad_vehicle=-1, hidden1=16,
-        hidden2=8, replay_batch=2))
+    cfg = tiny_cfg(dataset_size=400, eval_size=50, slots_per_episode=3,
+                   train_episodes=2, test_episodes=2, hidden1=16, hidden2=8,
+                   replay_batch=2)
     path = tmp_path / "tiny.cfg"
     save_config(cfg, path)
     return str(path)
@@ -274,3 +274,32 @@ def test_garbage_environment_seed_exits_2(cfg_file, capsys, monkeypatch):
     code = main(["baseline", "--scheme", "sync_fl", "--config", cfg_file])
     assert code == 2
     assert "SIM_SEED" in capsys.readouterr().err
+
+
+# kills the learner with SIGKILL just after it is sent its second update
+KILLER = """
+import os, signal, sys
+from vecafl import cli, ddpg
+
+update, calls = ddpg._Learner.update, []
+
+def killing(self, batch, where):
+    update(self, batch, where)
+    calls.append(where)
+    if len(calls) == 2:
+        os.kill(self._proc.pid, signal.SIGKILL)
+
+ddpg._Learner.update = killing
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_dead_learner_is_not_reported_as_a_config_error(cfg_file,
+                                                          tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", KILLER, "train", "--config", cfg_file,
+         "--seed", "3", "--out", str(tmp_path / "out")],
+        env=child_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode not in (0, 2), done.stderr
+    last = done.stderr.strip().splitlines()[-1]
+    assert "learner process exited with code -9" in last, done.stderr

@@ -3,14 +3,17 @@
 import json
 import math
 import multiprocessing
+import os
 import re
-from dataclasses import replace
+import signal
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import make_params, params_allclose, params_equal, tiny_122_net
+from conftest import (make_params, params_allclose, params_equal,
+                      tiny_122_net, tiny_cfg)
 from reference import biases, weights
 import vecafl
 from vecafl import ddpg
@@ -27,14 +30,9 @@ from vecafl.rng import substream
 from vecafl.world import build_dataset
 
 
-def agent_cfg(**overrides):
-    base = dict(vehicle_count=3, dataset_size=260, feature_dim=6,
-                classifier_arch=(6, 8, 10), shard_size=40, rsu_shard_size=40,
-                eval_size=40, local_rounds=1, local_batch=10,
-                slots_per_episode=3, train_episodes=2, test_episodes=2,
-                bad_vehicle=-1, hidden1=16, hidden2=8, replay_batch=2)
-    base.update(overrides)
-    return validate_config(replace(SimConfig(), **base))
+agent_cfg = partial(tiny_cfg, dataset_size=260, eval_size=40,
+                    slots_per_episode=3, train_episodes=2, test_episodes=2,
+                    hidden1=16, hidden2=8, replay_batch=2)
 
 
 # -- replay buffer -----------------------------------------------------------
@@ -502,6 +500,29 @@ def test_a_learner_whose_pipe_closes_exits_within_a_second():
     learner._conn.close()
     learner._proc.join(1.0)
     assert learner._proc.exitcode == 0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("while_updating", [False, True])
+def test_a_killed_learner_raises_learner_failed(monkeypatch, while_updating):
+    # SIGKILL after the second update: the learner dies just before the
+    # third is sent, or while the second runs
+    update, calls = ddpg._Learner.update, []
+
+    def killing(self, batch, where):
+        calls.append(where)
+        if len(calls) == 3 and not while_updating:
+            os.kill(self._proc.pid, signal.SIGKILL)
+            self._proc.join()
+        update(self, batch, where)
+        if len(calls) == 2 and while_updating:
+            os.kill(self._proc.pid, signal.SIGKILL)
+
+    monkeypatch.setattr(ddpg._Learner, "update", killing)
+    cfg = agent_cfg()
+    with pytest.raises(ddpg.LearnerFailed, match="learner process exited "
+                                                 "with code -9$"):
+        ddpg.train(cfg, build_dataset(cfg, 37), 37)
     assert multiprocessing.active_children() == []
 
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vecafl
+import conftest
 from conftest import make_params, params_allclose
 from reference import biases, weights
 from vecafl import engine
-from vecafl.config import ConfigError, SimConfig, validate_config
+from vecafl.config import ConfigError
 from vecafl.engine import (SCHEMES, FilterSoundnessError, GlobalModel,
                            TrustedShardError, compute_reward, global_update,
                            local_delay, run_afl_slot, run_phase,
@@ -31,14 +33,8 @@ from vecafl.rng import substream
 from vecafl.world import World, build_dataset
 
 
-def tiny_cfg(**overrides):
-    base = dict(vehicle_count=3, dataset_size=260, feature_dim=6,
-                classifier_arch=(6, 8, 10), shard_size=40, rsu_shard_size=40,
-                eval_size=40, local_rounds=1, local_batch=10,
-                slots_per_episode=4, test_episodes=1, bad_vehicle=-1,
-                train_episodes=1)
-    base.update(overrides)
-    return validate_config(replace(SimConfig(), **base))
+tiny_cfg = partial(conftest.tiny_cfg, dataset_size=260, eval_size=40,
+                   slots_per_episode=4, test_episodes=1, train_episodes=1)
 
 
 def select_all(k):

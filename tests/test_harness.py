@@ -5,13 +5,14 @@ import math
 import os
 import re
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+import conftest
 from vecafl import ddpg
-from vecafl.config import (ConfigError, SimConfig, config_hash,
-                           validate_config)
+from vecafl.config import ConfigError, SimConfig, config_hash
 from vecafl.engine import Scheme, SlotResult
 from reference import parse_metrics, weights
 from vecafl.harness import (SCHEMES, MetricsRow, _phase_rows, attack_sweep,
@@ -22,14 +23,9 @@ from vecafl.rng import substream
 from vecafl.world import build_dataset
 
 
-def tiny_cfg(**overrides):
-    base = dict(vehicle_count=3, dataset_size=400, feature_dim=6,
-                classifier_arch=(6, 8, 10), shard_size=40, rsu_shard_size=40,
-                eval_size=50, local_rounds=1, local_batch=10,
-                slots_per_episode=3, train_episodes=2, test_episodes=2,
-                bad_vehicle=-1, hidden1=16, hidden2=8, replay_batch=2)
-    base.update(overrides)
-    return validate_config(replace(SimConfig(), **base))
+tiny_cfg = partial(conftest.tiny_cfg, dataset_size=400, eval_size=50,
+                   slots_per_episode=3, train_episodes=2, test_episodes=2,
+                   hidden1=16, hidden2=8, replay_batch=2)
 
 
 def sample_rows():

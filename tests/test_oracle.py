@@ -5,12 +5,13 @@ byte for byte and with ``--floats``, and its clean-up when it is stopped.
 verdict is ``differing_files``, tested here without running a cell.
 """
 
+import json
 import os
 import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,13 +64,13 @@ def test_every_changed_or_one_sided_file_is_named(oracle, tmp_path):
 
 
 def _rows(**changed) -> bytes:
-    """A ``rows.txt`` of three metrics rows; ``changed`` sets fields of the
-    third."""
+    """A ``rows.txt`` of three metrics rows, as the oracle's runs write
+    them; ``changed`` sets fields of the third."""
     rows = [MetricsRow("ddafl-s3", "ddafl", 1, slot, slot + 0.25, 0.5,
                        0.5, float("nan"), 0.0, 3, 12.5, "9f3e1c")
             for slot in range(3)]
     rows[2] = replace(rows[2], **changed)
-    return "".join(repr(row) + "\n" for row in rows).encode()
+    return "".join(json.dumps(asdict(row)) + "\n" for row in rows).encode()
 
 
 def test_floats_within_the_tolerance_match(oracle, tmp_path):
@@ -83,7 +84,8 @@ def test_floats_within_the_tolerance_match(oracle, tmp_path):
 
 @pytest.mark.parametrize("changed", [
     {"avg_loss": 2.25 * (1 + 1e-9)}, {"accepted_count": 4},
-    {"config_hash": "9f3e1d"}, {"reward": 0.0}])
+    {"config_hash": "9f3e1d"}, {"reward": 0.0}, {"accepted_count": 3.0},
+    {"mean_delay": float("inf")}])
 def test_floats_past_the_tolerance_name_the_first_row(oracle, tmp_path,
                                                       changed):
     a = _write(tmp_path / "a", {**FILES, "ddafl/rows.txt": _rows()})

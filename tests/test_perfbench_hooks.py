@@ -9,13 +9,12 @@ running a cell.
 """
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from conftest import tiny_cfg
 from vecafl import harness
-from vecafl.config import SimConfig, validate_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,12 +54,9 @@ def test_slot_clock_cuts_a_learned_cell_into_its_slots(bench):
     # training runs on run_phase inside ddpg.train, so the two loop roots
     # nest; every slot of both stages must still end exactly once
     run, spans = bench
-    cfg = validate_config(replace(
-        SimConfig(), vehicle_count=3, dataset_size=260, feature_dim=6,
-        classifier_arch=(6, 8, 10), shard_size=40, rsu_shard_size=40,
-        eval_size=40, local_rounds=1, local_batch=10, slots_per_episode=3,
-        train_episodes=2, test_episodes=1, bad_vehicle=-1, hidden1=16,
-        hidden2=8, replay_batch=2))
+    cfg = tiny_cfg(dataset_size=260, eval_size=40, slots_per_episode=3,
+                   train_episodes=2, test_episodes=1, hidden1=16, hidden2=8,
+                   replay_batch=2)
     clock = spans.SlotClock()
     patcher = spans.Patcher()
     try:

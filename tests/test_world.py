@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,19 +15,15 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import vecafl
+from conftest import tiny_cfg
 from vecafl.channel import lane_geometry, transmission_rate
-from vecafl.config import SAMPLE_BUDGET, SimConfig, validate_config
+from vecafl.config import SAMPLE_BUDGET, SimConfig
 from vecafl.world import (World, _log_gauss_mass, _truncnorm_draws,
                           build_dataset)
 
 
-def world_cfg(**overrides):
-    base = dict(vehicle_count=3, dataset_size=400, feature_dim=6,
-                classifier_arch=(6, 8, 10), shard_size=40, rsu_shard_size=40,
-                eval_size=50, local_rounds=1, local_batch=10,
-                slots_per_episode=6, bad_vehicle=-1)
-    base.update(overrides)
-    return validate_config(replace(SimConfig(), **base))
+world_cfg = partial(tiny_cfg, dataset_size=400, eval_size=50,
+                    slots_per_episode=6)
 
 
 def make_world(seed=101, episode=1, **overrides):

@@ -18,16 +18,14 @@ Run from anywhere; it works on the checkout it lives in.  It runs:
 Repeats rotate through the workloads, so a slow spell of the host falls
 on all of them.  The file holds every run, the medians, and what the
 timings depend on: the commit, python, numpy, scipy, the BLAS and its
-version, ``vecafl.BLAS_THREADS``, the kernel family OpenBLAS picked when
-it loaded, ``nproc`` and the load average at start and end.  Two files
-whose kernel families differ are not comparable: the family alone moves
-local SGD by 1.3 to 2.2 times.  Exits 1 when the Tier-1 suite fails, after
-writing the file.
+version, ``vecafl.BLAS_THREADS``, ``vecafl.BLAS_CORE`` (the kernel family
+OpenBLAS runs, null where it is unknown), ``nproc`` and the load average
+at start and end.  Two files whose kernel families differ are not
+comparable: the family alone moves local SGD by 1.3 to 2.2 times.  Exits
+1 when the Tier-1 suite fails, after writing the file.
 """
 
 import argparse
-import ctypes
-import glob
 import json
 import os
 import platform
@@ -140,22 +138,6 @@ def run_tier1() -> dict:
             "durations": slowest(done.stdout)}
 
 
-def openblas_core() -> str:
-    """The kernel family numpy's bundled OpenBLAS picked when it loaded,
-    such as "SkylakeX"; "unknown" where it bundles none."""
-    import numpy as np
-    home = os.path.dirname(np.__file__)
-    for path in sorted(glob.glob(os.path.join(home + ".libs", "*openblas*"))
-                       + glob.glob(os.path.join(home, ".dylibs",
-                                                "*openblas*"))):
-        corename = getattr(ctypes.CDLL(path),
-                           "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    return "unknown"
-
-
 def machine() -> dict:
     sys.path.insert(0, str(SRC))
     import numpy as np
@@ -171,7 +153,7 @@ def machine() -> dict:
             "scipy": scipy.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"),
             "blas_threads": vecafl.BLAS_THREADS,
-            "openblas_core": openblas_core(),
+            "openblas_core": vecafl.BLAS_CORE,
             "nproc": len(os.sched_getaffinity(0)),
             "platform": platform.platform()}
 

@@ -13,25 +13,25 @@ run first checks that it imports the package from its own tree's ``src``
 writes its world digests (``test_digests.txt`` for a scheme or the
 redeploy, the training digests for the sweep), so a change in what the
 environment draws shows even where no output file carries it, and
-``rows.txt``, the ``repr`` of every metrics row, whose floats keep all 17
-digits where ``metrics.csv`` prints nine: a sum taken in another order
+``rows.txt``, every metrics row as one line of JSON, whose floats keep all
+17 digits where ``metrics.csv`` prints nine: a sum taken in another order
 shows there.  Every file is compared by sha256.  With ``--floats REL``
-each ``rows.txt`` is compared field by field instead: a float within a
+each ``rows.txt`` is compared value by value instead: a float within a
 relative ``REL`` of its counterpart (a nan of a nan) matches, any other
-field must match exactly, and the file is named with its first differing
-row; the other files keep their sha256 check, so a sum reordered in
-training still shows in the checkpoint.  Exits 0 when all files match and
-1 naming every file that differs or exists on one side only; 2 when a run
-fails or the revision cannot be exported.  Killed by SIGTERM or
+value must be equal and of the same type, and the file is named with its
+first differing row; the other files keep their sha256 check, so a sum
+reordered in training still shows in the checkpoint.  Exits 0 when all
+files match and 1 naming every file that differs or exists on one side
+only; 2 when a run fails or the revision cannot be exported.  Killed by SIGTERM or
 interrupted, it stops both runs and removes its temporary directory before
 it exits.
 """
 
 import argparse
 import hashlib
+import json
 import math
 import os
-import re
 import shutil
 import signal
 import subprocess
@@ -45,9 +45,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # Runs inside each tree, with that tree's src first on the path, so it uses
 # only names both sides define.
 DRIVER = """
-import os, signal, sys
+import json, os, signal, sys
 signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})  # oracle blocked it
-from dataclasses import replace
+from dataclasses import asdict, replace
 import vecafl
 from vecafl import cli, harness
 from vecafl.config import SimConfig
@@ -56,6 +56,9 @@ from vecafl.harness import attack_sweep, run_experiment
 def dump(cell, name, lines):
     with open(os.path.join(cell, name), "w") as fh:
         fh.write("".join(line + "\\n" for line in lines))
+
+def as_json(row):
+    return json.dumps(asdict(row))
 
 out, src = sys.argv[1], os.path.realpath(sys.argv[2])
 package = os.path.realpath(vecafl.__file__)
@@ -68,12 +71,12 @@ for scheme in ("ddafl", "ddafl_no_defense", "ddafl_no_lt", "ddafl_no_ct",
     cell = os.path.join(out, scheme)
     res = run_experiment(scheme, cfg, 3, cell)
     dump(cell, "test_digests.txt", res.test_digests)
-    dump(cell, "rows.txt", map(repr, res.rows))
+    dump(cell, "rows.txt", map(as_json, res.rows))
 cell = os.path.join(out, "sweep-class_flip")
 _, rows, train_res = attack_sweep(cfg, 3, (0.0, 0.2, 0.4), "class_flip",
                                   cell)
 dump(cell, "train_digests.txt", train_res.digests)
-dump(cell, "rows.txt", map(repr, rows))
+dump(cell, "rows.txt", map(as_json, rows))
 
 # the CLI keeps no result; record the one it builds for rows and digests
 deployed, deploy = [], harness.run_experiment
@@ -91,7 +94,7 @@ code = cli.main(["test", "--checkpoint", os.path.join(trained, "checkpoint"),
 if code != 0:
     sys.exit(f"vecafl test exited with {code}")
 dump(cell, "test_digests.txt", deployed[0].test_digests)
-dump(cell, "rows.txt", map(repr, deployed[0].rows))
+dump(cell, "rows.txt", map(as_json, deployed[0].rows))
 """
 
 
@@ -105,36 +108,26 @@ def file_digests(top: Path) -> dict:
     return out
 
 
-# a field of a ``rows.txt`` line, the repr of a MetricsRow: name=value
-FIELD = re.compile(r"(\w+)=('(?:[^'\\]|\\.)*'|[^,)]*)")
-INT = re.compile(r"-?\d+")
-
-
-def _fields_match(x: str, y: str, rel: float) -> bool:
-    """Two repr'd fields: a float within ``rel`` of the other, or equal."""
-    if x == y:
-        return True
-    try:
-        fx, fy = float(x), float(y)
-    except ValueError:
-        return False  # a string matches only itself
-    if INT.fullmatch(x) or INT.fullmatch(y):
-        return False  # and so does an int
-    if math.isnan(fx) or math.isnan(fy):
-        return math.isnan(fx) and math.isnan(fy)
-    return abs(fx - fy) <= rel * max(abs(fx), abs(fy))
+def _values_match(x, y, rel: float) -> bool:
+    """Two decoded values: floats within ``rel`` of each other (a nan of a
+    nan), anything else equal and of the same type."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, float):
+        return (math.isclose(x, y, rel_tol=rel)
+                or math.isnan(x) and math.isnan(y))
+    return x == y
 
 
 def first_differing_row(a: Path, b: Path, rel: float):
     """1-based number of the first line of two ``rows.txt`` files whose
-    fields differ beyond ``rel`` (see ``_fields_match``), or None."""
-    rows_a = a.read_text().splitlines()
-    rows_b = b.read_text().splitlines()
+    values differ beyond ``rel`` (see ``_values_match``), or None."""
+    rows_a = [json.loads(line) for line in a.read_text().splitlines()]
+    rows_b = [json.loads(line) for line in b.read_text().splitlines()]
     for number, (x, y) in enumerate(zip(rows_a, rows_b), 1):
-        # the same field names in the same frame, then value by value
-        if FIELD.sub(r"\1=", x) != FIELD.sub(r"\1=", y) or not all(
-                _fields_match(vx, vy, rel) for (_, vx), (_, vy)
-                in zip(FIELD.findall(x), FIELD.findall(y))):
+        # the same field names in the same order, then value by value
+        if list(x) != list(y) or not all(
+                _values_match(x[key], y[key], rel) for key in x):
             return number
     if len(rows_a) != len(rows_b):
         return min(len(rows_a), len(rows_b)) + 1
