@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import mmap
-import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -20,11 +19,11 @@ import numpy as np
 
 from . import BLAS_THREADS
 from .config import SimConfig, config_hash, validate_config
-from .engine import SCHEMES, Scheme, run_phase
+from .engine import SCHEMES, ChildFailed, Forked, Scheme, run_phase
 # evaluate is unused here but stays bound: perfbench's slot clock patches it
 from .model import (ModelParams, backprop_from_logits, evaluate,
-                    forward_stack, init_params, load_params, params_axpy,
-                    params_combine, params_copy, save_params)
+                    forward_stack, init_params, input_gradient, load_params,
+                    params_axpy, params_combine, params_copy, save_params)
 from .rng import substream
 from .world import World
 
@@ -194,7 +193,7 @@ def actor_update(nets: AgentNets, svecs: np.ndarray, lr: float) -> ModelParams:
     x = np.concatenate([svecs, actions], axis=1)
     _, acts_c = forward_stack(nets.critic, x)
     dmean_q = np.full((svecs.shape[0], 1), 1.0 / svecs.shape[0])
-    _, dx = backprop_from_logits(nets.critic, acts_c, dmean_q)
+    dx = input_gradient(nets.critic, acts_c, dmean_q)
     dactions = dx[:, state_dim:]
     dlogits_a = dactions * actions * (1.0 - actions)
     grads, _ = backprop_from_logits(nets.actor, acts_a, dlogits_a)
@@ -215,7 +214,7 @@ class TrainingDiverged(ValueError):
     """An agent update left a non-finite critic loss or network."""
 
 
-class LearnerFailed(RuntimeError):
+class LearnerFailed(ChildFailed):
     """The learner process died, or exited with a non-zero code."""
 
 
@@ -228,11 +227,13 @@ class TrainResult:
     rng_digest: str
 
 
-class _Learner:
+class _Learner(Forked):
     """The agent's four nets and updates, in a process forked by ``train``.
     It writes each new actor, and all four nets at the pipe's EOF, into a
-    ``MAP_SHARED`` buffer, so nothing larger than a minibatch is pickled.
-    EOF, from ``close`` or a dead parent, ends it."""
+    ``MAP_SHARED`` buffer, so nothing larger than a minibatch is pickled."""
+
+    failure = LearnerFailed
+    role = "agent's learner"
 
     def __init__(self, nets: AgentNets, cfg: SimConfig):
         self.nets, self.cfg, self.pending = nets, cfg, None
@@ -240,18 +241,9 @@ class _Learner:
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
         self._shared = dict(zip(_NET_FILES,
                                 np.split(flat, np.cumsum(sizes)[:-1])))
-        ctx = multiprocessing.get_context("fork")
-        self._conn, end = ctx.Pipe()
-        self._proc = ctx.Process(target=self._serve, args=(end,), daemon=True)
-        self._proc.start()
-        end.close()
-
-    def close(self) -> None:
-        self._conn.close()        # EOF: the learner shares its nets and exits
-        self._proc.join()
+        self._fork()
 
     def _serve(self, conn) -> None:
-        self._conn.close()        # so that a dead parent means EOF
         os.nice(19)               # on a shared CPU, the slot loop goes first
         nets, cfg = self.nets, self.cfg
         try:
@@ -275,13 +267,6 @@ class _Learner:
             for name in _NET_FILES:
                 self._shared[name][...] = getattr(nets, name).vector
 
-    def _pipe(self, io, *args):
-        try:
-            return io(*args)
-        except (EOFError, OSError):   # the learner died: finish raises
-            self.finish()             # LearnerFailed with its exit code
-            raise
-
     def update(self, batch, where) -> None:
         self._pipe(self._conn.send, batch)
         self.pending = where      # the (episode, slot) that names the update
@@ -302,9 +287,7 @@ class _Learner:
         if self.pending is not None:
             self.settle()
         self.close()
-        if self._proc.exitcode != 0:
-            raise LearnerFailed(f"the agent's learner process exited with "
-                                f"code {self._proc.exitcode}")
+        self._check_exit()
         return AgentNets(*map(self._take, _NET_FILES))
 
     def _take(self, name: str) -> ModelParams:

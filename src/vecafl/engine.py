@@ -11,6 +11,8 @@ deployment alike.
 
 import copy
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -51,6 +53,62 @@ class TrustedShardError(RuntimeError):
 
 class FilterSoundnessError(RuntimeError):
     """An upload passed the filter with a loss above the limit."""
+
+
+class ChildFailed(RuntimeError):
+    """A forked child process died, or exited with a non-zero code, which
+    ``exitcode`` holds."""
+
+    def __init__(self, message: str, exitcode: int):
+        super().__init__(message)
+        self.exitcode = exitcode
+
+
+class HelperFailed(ChildFailed):
+    """The cohort helper process died, or exited with a non-zero code."""
+
+
+class Forked:
+    """A child process forked to serve requests on a pipe.
+
+    ``_fork`` starts it running ``_serve(conn)``.  EOF on the pipe, from
+    ``close`` or a dead parent, ends it.  A pipe that breaks in the parent
+    means the child died: ``_pipe`` then joins it and raises ``failure``,
+    naming its exit code (``-9`` for a SIGKILL).
+    """
+
+    failure = ChildFailed
+    role = "child"
+
+    def _fork(self) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self._conn, end = ctx.Pipe()
+        self._proc = ctx.Process(target=self._run, args=(end,), daemon=True)
+        self._proc.start()
+        end.close()
+
+    def _run(self, conn) -> None:
+        self._conn.close()        # so that a dead parent means EOF
+        self._serve(conn)
+
+    def close(self) -> None:
+        self._conn.close()        # EOF: the child finishes and exits
+        self._proc.join()
+
+    def _check_exit(self) -> None:
+        """Raise ``failure`` unless the joined child exited with code 0."""
+        code = self._proc.exitcode
+        if code != 0:
+            raise self.failure(f"the {self.role} process exited with code "
+                               f"{code}", code)
+
+    def _pipe(self, io, *args):
+        try:
+            return io(*args)
+        except (EOFError, OSError):   # the child died
+            self.close()
+            self._check_exit()
+            raise
 
 
 @dataclass
@@ -142,9 +200,106 @@ def threshold_accept(local_loss: float, trusted_loss: float,
     return local_loss <= ratio * trusted_loss
 
 
+def _halves(sizes) -> tuple:
+    """Learner indices in two groups balanced by rows: largest shard first,
+    each to the group with fewer rows so far, the first on a tie.  Each
+    group lists its learners in order."""
+    groups, rows = ([], []), [0, 0]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        side = int(rows[1] < rows[0])
+        groups[side].append(i)
+        rows[side] += sizes[i]
+    return sorted(groups[0]), sorted(groups[1])
+
+
+class CohortHelper(Forked):
+    """A second process that trains half of each slot's cohort.
+
+    ``run_phase`` forks one per deployment phase.  ``train_cohort`` splits
+    a cohort by ``_halves``: the helper trains the first group while this
+    process trains the second, each with ``model.train_cohort``, so every
+    learner's result is the bytes of its solo run.  A shard crosses the
+    pipe once per World, the first time the helper trains on it, and is
+    known by its identity from then on: a World's shards are fixed objects
+    for its episode.  Each call sends the starts, the shard keys and the
+    training streams, and gets back the trained vectors and losses.
+    """
+
+    failure = HelperFailed
+    role = "cohort helper"
+
+    def __init__(self):
+        self._world, self._sent = None, {}
+        self._fork()
+
+    def _serve(self, conn) -> None:
+        shards = {}
+        try:
+            while True:
+                fresh, new, starts, learners, hyper = conn.recv()
+                if fresh:
+                    shards.clear()
+                shards.update(new)
+                try:
+                    out = [(params.vector, loss) for params, loss in
+                           train_cohort([starts[s] for s, _, _ in learners],
+                                        [shards[k] for _, k, _ in learners],
+                                        [rng for _, _, rng in learners],
+                                        *hyper)]
+                except Exception as exc:  # raised again in the parent
+                    out = exc
+                conn.send(out)
+        except (EOFError, BrokenPipeError):
+            pass
+
+    def train_cohort(self, world: World, starts, shards, rngs, *hyper):
+        """``model.train_cohort(starts, shards, rngs, *hyper)`` over two
+        processes; ``world`` holds the shards.  The helper's learners draw
+        from copies of their streams, so ``rngs`` of those stay unread."""
+        if len(starts) < 2:
+            return train_cohort(starts, shards, rngs, *hyper)
+        there, here = _halves([len(shard) for shard in shards])
+        fresh = world is not self._world
+        if fresh:
+            self._world, self._sent = world, {}
+        new = {}
+        for i in there:
+            key = id(shards[i])
+            if key not in self._sent:
+                self._sent[key] = new[key] = shards[i]
+        self._pipe(self._conn.send, (
+            fresh, new, {id(starts[i]): starts[i] for i in there},
+            [(id(starts[i]), id(shards[i]), rngs[i]) for i in there], hyper))
+        try:
+            mine = train_cohort([starts[i] for i in here],
+                                [shards[i] for i in here],
+                                [rngs[i] for i in here], *hyper)
+        finally:
+            # read the reply even if this half raised: the pipe stays in step
+            got = self._pipe(self._conn.recv)
+        if isinstance(got, Exception):
+            raise got
+        out = [None] * len(starts)
+        for i, res in zip(here, mine):
+            out[i] = res
+        for i, (vector, loss) in zip(there, got):
+            out[i] = (ModelParams(vector, starts[i].architecture), loss)
+        return out
+
+
+def _wants_helper() -> bool:
+    """Whether ``run_phase`` forks a ``CohortHelper``: this process may run
+    on two CPUs or more, and has no live child, such as a training phase's
+    learner, which owns the second core."""
+    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    return len(cpus) >= 2 and not multiprocessing.active_children()
+
+
 def _local_updates(world: World, vids, snapshot: ModelParams,
-                   cfg: SimConfig, trusted_model: GlobalModel = None):
-    """Local SGD of the vehicles ``vids`` from ``snapshot`` in one cohort.
+                   cfg: SimConfig, trusted_model: GlobalModel = None,
+                   helper: CohortHelper = None):
+    """Local SGD of the vehicles ``vids`` from ``snapshot`` in one cohort,
+    split with ``helper`` when there is one.
 
     A kept trusted model trains in the same cohort on the roadside shard,
     from its own parameters, and is updated in place.  Returns the uploads
@@ -163,8 +318,9 @@ def _local_updates(world: World, vids, snapshot: ModelParams,
         starts.append(trusted_model.params)
         shards.append(world.rsu_batch)
         rngs.append(world.rsu_train_rng())
-    trained = train_cohort(starts, shards, rngs, cfg.local_rounds,
-                           cfg.local_lr, cfg.local_batch)
+    hyper = (cfg.local_rounds, cfg.local_lr, cfg.local_batch)
+    trained = train_cohort(starts, shards, rngs, *hyper) if helper is None \
+        else helper.train_cohort(world, starts, shards, rngs, *hyper)
     trusted_loss = None
     if trusted_model is not None:
         trusted_model.params, trusted_loss = trained.pop()
@@ -215,7 +371,8 @@ def _slot_result(updates, delays, skipped, accepted, reasons,
 
 def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
                  trusted_model: GlobalModel, cfg: SimConfig,
-                 scheme: Scheme = SCHEMES["ddafl"]) -> SlotResult:
+                 scheme: Scheme = SCHEMES["ddafl"],
+                 helper: CohortHelper = None) -> SlotResult:
     """One asynchronous round over the selected vehicles.
 
     All selected vehicles start from the global model as it stood at the
@@ -225,14 +382,15 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
     before it touches the global model; with None, nothing is screened by
     loss.  An upload with a non-finite loss or parameter is rejected either
     way, and the slot's mean loss and delay leave it out.  ``scheme.lt``
-    and ``scheme.ct`` switch the two staleness weights.
+    and ``scheme.ct`` switch the two staleness weights.  A ``helper``
+    trains part of the cohort.
     """
     if not world.rsu_batch_intact():
         raise TrustedShardError("trusted shard was tampered with")
 
     updates, delays, skipped, trusted_loss = _local_updates(
         world, sorted(int(v) for v in selected_ids), global_model.params,
-        cfg, trusted_model)
+        cfg, trusted_model, helper)
     uploads, stale = [], {}  # uploads: (vid, weighted, loss, arrival time)
     for vid, params, loss, t_l, t_u in updates:
         w_lt = staleness_weight(cfg.stale_base_local, t_l) \
@@ -267,16 +425,17 @@ def run_afl_slot(world: World, selected_ids, global_model: GlobalModel,
                         accept_audit=audit, stale_weights=stale)
 
 
-def sync_round(world: World, global_model: GlobalModel,
-               cfg: SimConfig) -> SlotResult:
+def sync_round(world: World, global_model: GlobalModel, cfg: SimConfig,
+               helper: CohortHelper = None) -> SlotResult:
     """Synchronous baseline: wait for every vehicle, average equally.
 
     No selection, no staleness weighting, no screening beyond dropping
     uploads with a non-finite loss or parameter; one global step per slot
-    once the slowest upload is in.
+    once the slowest upload is in.  A ``helper`` trains part of the cohort.
     """
     updates, delays, skipped, _ = _local_updates(
-        world, range(cfg.vehicle_count), global_model.params, cfg)
+        world, range(cfg.vehicle_count), global_model.params, cfg,
+        helper=helper)
     reasons = {}
     folded = _finite_only(updates, reasons)
     if folded:
@@ -337,48 +496,56 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
     ``select_fn`` may add ``settle() -> (weights, mask)``, called after
     the round; if its mask differs, the models go back to the head of the
     slot and the round, which changes no World state, runs again on it.
+
+    When ``_wants_helper``, a phase forks one ``CohortHelper`` to train
+    part of every slot's cohort, and joins it before it returns or raises.
     """
     def play(mask) -> SlotResult:
         if scheme.sync:
-            return sync_round(world, global_model, cfg)
+            return sync_round(world, global_model, cfg, helper)
         return run_afl_slot(world, np.flatnonzero(mask), global_model,
-                            trusted_model, cfg, scheme)
+                            trusted_model, cfg, scheme, helper)
 
     validate_config(cfg)
     k = cfg.vehicle_count
     records, digests = [], []
     admissions = np.zeros(k)
     global_model = None
-    for episode in range(1, episodes + 1):
-        world = World(cfg, dataset, seed, phase, episode)
-        if restart_global or global_model is None:
-            tags = (episode,) if restart_global else ()
-            global_model = GlobalModel(init_params(
-                cfg.classifier_arch,
-                substream(seed, "global-init", phase, *tags)))
-            trusted_model = GlobalModel(params_copy(global_model.params)) \
-                if scheme.defense else None
-        world.set_attacks(attacked_ids, cfg.attack)
-        prev_action = np.ones(k)
-        for slot in range(1, cfg.slots_per_episode + 1):
-            weights, mask, *settle = select_fn(world, prev_action)
-            heads = copy.copy(global_model), copy.copy(trusted_model)
-            res = play(mask)
-            if settle:
-                early, (weights, mask) = mask, settle[0]()
-                if not np.array_equal(mask, early):
-                    global_model, trusted_model = heads
-                    res = play(mask)
-            res.episode, res.slot = episode, slot
-            res.reward = compute_reward(weights, res.avg_loss,
-                                        res.mean_delay, cfg)
-            world.advance()
-            if observe is not None:
-                observe(world, weights, res)
-            res.accuracy, res.error_rate = evaluate(global_model.params,
-                                                    world.eval_batch)
-            records.append(res)
-            admissions += mask
-            prev_action = weights
-        digests.append(world.digest())
+    helper = CohortHelper() if _wants_helper() else None
+    try:
+        for episode in range(1, episodes + 1):
+            world = World(cfg, dataset, seed, phase, episode)
+            if restart_global or global_model is None:
+                tags = (episode,) if restart_global else ()
+                global_model = GlobalModel(init_params(
+                    cfg.classifier_arch,
+                    substream(seed, "global-init", phase, *tags)))
+                trusted_model = GlobalModel(params_copy(
+                    global_model.params)) if scheme.defense else None
+            world.set_attacks(attacked_ids, cfg.attack)
+            prev_action = np.ones(k)
+            for slot in range(1, cfg.slots_per_episode + 1):
+                weights, mask, *settle = select_fn(world, prev_action)
+                heads = copy.copy(global_model), copy.copy(trusted_model)
+                res = play(mask)
+                if settle:
+                    early, (weights, mask) = mask, settle[0]()
+                    if not np.array_equal(mask, early):
+                        global_model, trusted_model = heads
+                        res = play(mask)
+                res.episode, res.slot = episode, slot
+                res.reward = compute_reward(weights, res.avg_loss,
+                                            res.mean_delay, cfg)
+                world.advance()
+                if observe is not None:
+                    observe(world, weights, res)
+                res.accuracy, res.error_rate = evaluate(global_model.params,
+                                                        world.eval_batch)
+                records.append(res)
+                admissions += mask
+                prev_action = weights
+            digests.append(world.digest())
+    finally:
+        if helper is not None:
+            helper.close()
     return PhaseResult(records, admissions, global_model, digests)

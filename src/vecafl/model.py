@@ -146,6 +146,17 @@ def backprop_from_logits(params: ModelParams, acts, dlogits: np.ndarray):
     return grads, delta
 
 
+def input_gradient(params: ModelParams, acts, dlogits: np.ndarray):
+    """The ``dinput`` of ``backprop_from_logits`` alone, by the same
+    products, without the parameter gradients."""
+    delta = dlogits
+    for i, (w, _) in reversed(list(enumerate(params.layers))):
+        delta = delta @ w.T
+        if i > 0:
+            delta = delta * (acts[i] > 0.0)
+    return delta
+
+
 def cross_entropy(params: ModelParams, batch: LabeledBatch) -> float:
     """Mean negative log-likelihood of the true labels."""
     if len(batch) == 0:
@@ -334,9 +345,10 @@ def train_cohort(starts, shards, rngs, rounds: int, eta: float,
     ``_Workspace``, reused by every call, and every operand of a step is a
     view built once per cohort shape (``_Operands``) and replayed on each
     pass of each call with that shape.  Every value a step reads is written
-    earlier in the same call, so a call does not see its predecessors.  The
-    workspace assumes the simulator's single thread: two concurrent calls
-    would share it.
+    earlier in the same call, so a call does not see its predecessors.
+    There is one workspace per process: a forked ``engine.CohortHelper``
+    trains in its own copy, while two threads of one process would share
+    one.
 
     The final loss is one forward pass per learner over its shard in its
     original row order, the first product reading the shard itself, so

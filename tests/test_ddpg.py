@@ -521,8 +521,9 @@ def test_a_killed_learner_raises_learner_failed(monkeypatch, while_updating):
     monkeypatch.setattr(ddpg._Learner, "update", killing)
     cfg = agent_cfg()
     with pytest.raises(ddpg.LearnerFailed, match="learner process exited "
-                                                 "with code -9$"):
+                                                 "with code -9$") as caught:
         ddpg.train(cfg, build_dataset(cfg, 37), 37)
+    assert caught.value.exitcode == -9
     assert multiprocessing.active_children() == []
 
 

@@ -5,7 +5,9 @@ episodes) so each test stays in the millisecond range.
 """
 
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,7 +22,7 @@ import vecafl
 import conftest
 from conftest import make_params, params_allclose
 from reference import biases, weights
-from vecafl import engine
+from vecafl import engine, harness
 from vecafl.config import ConfigError
 from vecafl.engine import (SCHEMES, FilterSoundnessError, GlobalModel,
                            TrustedShardError, compute_reward, global_update,
@@ -28,7 +30,7 @@ from vecafl.engine import (SCHEMES, FilterSoundnessError, GlobalModel,
                            staleness_weight, threshold_accept, upload_delay,
                            weighted_upload)
 from vecafl.model import (LabeledBatch, ModelParams, init_params,
-                          params_copy, train_cohort)
+                          params_copy, params_to_bytes, train_cohort)
 from vecafl.rng import substream
 from vecafl.world import World, build_dataset
 
@@ -640,3 +642,251 @@ def test_run_phase_refuses_a_bad_config_before_any_slot(key, value):
     with pytest.raises(ConfigError, match=f"config key '{key}'"):
         run_phase(replace(cfg, **{key: value}), ds, 65, "test", 1, select)
     assert calls == []
+
+
+# -- the cohort helper -------------------------------------------------------------
+
+
+TWO_CPUS = pytest.mark.skipif(not engine._wants_helper(),
+                              reason="fewer than two usable CPUs")
+
+
+@pytest.mark.parametrize("sizes,halves", [
+    # sync_fl at the default config: four full shards and the weak one's
+    ([1000, 1000, 1000, 250, 1000], ([0, 2, 3], [1, 4])),
+    # four admitted vehicles and the 600-row trusted learner
+    ([1000, 1000, 250, 1000, 600], ([0, 3], [1, 2, 4])),
+    ([40, 40], ([0], [1])),
+    ([5, 40, 7], ([1], [0, 2]))])
+def test_halves_balance_rows_largest_first(sizes, halves):
+    assert engine._halves(sizes) == halves
+
+
+class RecordingPipe:
+    """A pipe end that keeps what is sent through it."""
+
+    def __init__(self, conn):
+        self.conn, self.sent = conn, []
+
+    def send(self, obj):
+        self.sent.append(obj)
+        self.conn.send(obj)
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+def test_a_split_cohort_trains_each_learner_as_one_cohort_does():
+    # tampering on even slots only gives vehicle 0 two shards an episode;
+    # each crosses the pipe once, and again only for a new World
+    cfg = tiny_cfg(attack="data_flip", attack_persistent=False)
+    ds = build_dataset(cfg, 63)
+    start = init_params(cfg.classifier_arch, substream(63, "g"))
+    trusted = init_params(cfg.classifier_arch, substream(63, "t"))
+    hyper = (2, cfg.local_lr, 7)
+    helper = engine.CohortHelper()
+    helper._conn = pipe = RecordingPipe(helper._conn)
+    try:
+        for episode in (1, 2):
+            world = World(cfg, ds, 63, "test", episode)
+            world.set_attacks([0], "data_flip")
+            for _ in range(3):
+                shards = [world.training_batch(v) for v in range(3)] \
+                    + [world.rsu_batch]
+
+                def rngs():
+                    return [world.train_rng(v) for v in range(3)] \
+                        + [world.rsu_train_rng()]
+                starts = [start] * 3 + [trusted]
+                got = helper.train_cohort(world, starts, shards, rngs(),
+                                          *hyper)
+                want = train_cohort(starts, shards, rngs(), *hyper)
+                assert [(params_to_bytes(p), loss) for p, loss in got] \
+                    == [(params_to_bytes(p), loss) for p, loss in want]
+                world.advance()
+    finally:
+        helper.close()
+    assert helper._proc.exitcode == 0
+    # the helper trains vehicles 0 and 2, from one start
+    assert [(fresh, len(new), len(starts), len(learners))
+            for fresh, new, starts, learners, _ in pipe.sent] \
+        == [(True, 2, 1, 2), (False, 1, 1, 2), (False, 0, 1, 2)] * 2
+
+
+def test_a_cohort_of_one_stays_in_this_process():
+    cfg = tiny_cfg()
+    world = World(cfg, build_dataset(cfg, 64), 64, "test", 1)
+    start = init_params(cfg.classifier_arch, substream(64, "g"))
+    helper = engine.CohortHelper()
+    helper._conn = pipe = RecordingPipe(helper._conn)
+    try:
+        got = helper.train_cohort(world, [start], [world.training_batch(1)],
+                                  [world.train_rng(1)], 1, cfg.local_lr, 10)
+    finally:
+        helper.close()
+    want = train_cohort([start], [world.training_batch(1)],
+                        [world.train_rng(1)], 1, cfg.local_lr, 10)
+    assert params_to_bytes(got[0][0]) == params_to_bytes(want[0][0])
+    assert pipe.sent == []
+
+
+@pytest.mark.parametrize("odd", [2, 1])
+def test_an_error_in_either_half_is_raised_and_the_next_cohort_trains(odd):
+    # the helper trains learners 0 and 2, this process 1 and 3; learner
+    # ``odd``'s architecture differs from the others' in its half
+    cfg = tiny_cfg()
+    world = World(cfg, build_dataset(cfg, 64), 64, "test", 1)
+    start = init_params(cfg.classifier_arch, substream(64, "g"))
+    starts = [start] * 4
+    starts[odd] = init_params((6, 4, 10), substream(64, "h"))
+    shards = [world.training_batch(v) for v in range(3)] + [world.rsu_batch]
+
+    def rngs():
+        return [world.train_rng(v) for v in range(3)] \
+            + [world.rsu_train_rng()]
+    helper = engine.CohortHelper()
+    try:
+        with pytest.raises(ValueError, match="parameter shapes disagree"):
+            helper.train_cohort(world, starts, shards, rngs(), 1,
+                                cfg.local_lr, 10)
+        # from another start, so that a reply left over from the failed
+        # call shows
+        start = init_params(cfg.classifier_arch, substream(64, "f"))
+        got = helper.train_cohort(world, [start] * 4, shards, rngs(), 1,
+                                  cfg.local_lr, 10)
+    finally:
+        helper.close()
+    assert helper._proc.exitcode == 0
+    want = train_cohort([start] * 4, shards, rngs(), 1, cfg.local_lr, 10)
+    assert [(params_to_bytes(p), loss) for p, loss in got] \
+        == [(params_to_bytes(p), loss) for p, loss in want]
+
+
+@TWO_CPUS
+@pytest.mark.parametrize("scheme", ["ddafl", "sync_fl"])
+def test_every_deployment_slot_sees_one_helper_for_the_phase(scheme):
+    cfg = tiny_cfg()
+    children = []
+
+    def select(world, prev_action):
+        children.append([p.pid for p in multiprocessing.active_children()])
+        return np.ones(3), np.ones(3, dtype=bool)
+
+    run_phase(cfg, build_dataset(cfg, 67), 67, "test", 2, select,
+              scheme=SCHEMES[scheme])
+    assert len(children) == 2 * cfg.slots_per_episode
+    assert len(children[0]) == 1
+    assert all(pids == children[0] for pids in children)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_phase_with_a_live_child_forks_no_helper():
+    # a training phase's learner owns the second core
+    ctx = multiprocessing.get_context("fork")
+    done = ctx.Event()
+    child = ctx.Process(target=done.wait, daemon=True)
+    child.start()
+    try:
+        assert not engine._wants_helper()
+    finally:
+        done.set()
+        child.join(10)
+    assert child.exitcode == 0
+
+
+# runs one sync_fl cell on one CPU and prints how many processes it forked
+ONE_CPU = """
+import os, sys
+sys.path.insert(0, sys.argv[2])
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
+from conftest import tiny_cfg
+from vecafl import harness
+cfg = tiny_cfg(dataset_size=260, eval_size=40, slots_per_episode=4,
+               test_episodes=2, train_episodes=1)
+harness.run_experiment("sync_fl", cfg, 68, out_dir=sys.argv[1])
+print(len(forks))
+"""
+
+
+@TWO_CPUS
+def test_on_one_cpu_a_deployment_forks_no_helper_and_writes_the_same_bytes(
+        monkeypatch, tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_CPU, str(tmp_path / "one"),
+         os.path.dirname(conftest.__file__)],
+        env=conftest.child_env(), capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
+    forked = []
+
+    def counting(self):
+        forked.append(1)
+        real(self)
+
+    real = engine.CohortHelper._fork
+    monkeypatch.setattr(engine.CohortHelper, "_fork", counting)
+    harness.run_experiment("sync_fl", tiny_cfg(test_episodes=2), 68,
+                           out_dir=str(tmp_path / "two"))
+    assert forked == [1]
+    one, two = (sorted(p.relative_to(tmp_path / d) for p in
+                       (tmp_path / d).rglob("*") if p.is_file())
+                for d in ("one", "two"))
+    assert one == two and one
+    for name in one:
+        assert (tmp_path / "one" / name).read_bytes() \
+            == (tmp_path / "two" / name).read_bytes(), name
+
+
+def kill_helper():
+    """SIGKILL the one live child, the phase's helper, and wait for it."""
+    (child,) = multiprocessing.active_children()
+    os.kill(child.pid, signal.SIGKILL)
+    child.join(10)
+    assert child.exitcode == -9
+
+
+@TWO_CPUS
+@pytest.mark.parametrize("while_training", [False, True])
+def test_a_killed_helper_raises_helper_failed(monkeypatch, while_training):
+    # SIGKILL in slot 2: before the cohort is sent, or once the helper has
+    # its half and this process trains the other
+    cfg = tiny_cfg()
+    real = engine.train_cohort
+
+    def select(world, prev_action):
+        if world.slot == 1:
+            if while_training:
+                monkeypatch.setattr(engine, "train_cohort", killing)
+            else:
+                kill_helper()
+        return np.ones(3), np.ones(3, dtype=bool)
+
+    def killing(*args):
+        kill_helper()
+        return real(*args)
+
+    with pytest.raises(engine.HelperFailed,
+                       match="cohort helper process exited with code -9$"
+                       ) as caught:
+        run_phase(cfg, build_dataset(cfg, 69), 69, "test", 1, select,
+                  scheme=SCHEMES["sync_fl"])
+    assert caught.value.exitcode == -9
+    assert multiprocessing.active_children() == []
+
+
+def test_a_phase_that_raises_leaves_no_helper_running():
+    cfg = tiny_cfg()
+
+    def select(world, prev_action):
+        if world.slot == 2:
+            rsu = world.rsu_batch
+            world.rsu_batch = LabeledBatch(rsu.inputs, (rsu.labels + 1) % 10)
+        return np.ones(3), np.ones(3, dtype=bool)
+
+    with pytest.raises(TrustedShardError):
+        run_phase(cfg, build_dataset(cfg, 70), 70, "test", 1, select,
+                  scheme=SCHEMES["ddafl"])
+    assert multiprocessing.active_children() == []

@@ -10,8 +10,9 @@ from conftest import (balanced_batch, make_params, params_allclose,
 from vecafl import model
 from reference import biases, forward, gradient, solo_sgd, weights
 from vecafl.model import (LabeledBatch, ModelParams, _layer_views,
-                          cross_entropy, evaluate, init_params, load_params,
-                          params_axpy, params_combine, params_copy,
+                          backprop_from_logits, cross_entropy, evaluate,
+                          forward_stack, init_params, input_gradient,
+                          load_params, params_axpy, params_combine, params_copy,
                           params_from_bytes, params_mean, params_scale,
                           params_to_bytes, save_params, train_cohort,
                           weights_then_biases)
@@ -495,6 +496,17 @@ def test_gradient_matches_plain_two_dimensional_backprop():
         assert np.array_equal(weights(got)[i], acts[i].T @ delta)
         assert np.array_equal(biases(got)[i], delta.sum(axis=0))
         delta = (delta @ w[i].T) * (acts[i] > 0.0)
+
+
+@pytest.mark.parametrize("arch,rows", [((8, 6, 5, 1), 13),
+                                       ((25, 40, 30, 1), 64)])
+def test_input_gradient_is_the_backprop_input_gradient(arch, rows):
+    # the actor update's critic pass: a mean over the rows of one output
+    params = init_params(arch, substream(9, "input-grad"))
+    _, acts = forward_stack(params, random_shard(rows, arch[0], 10).inputs)
+    dout = np.full((rows, 1), 1.0 / rows)
+    assert np.array_equal(input_gradient(params, acts, dout),
+                          backprop_from_logits(params, acts, dout)[1])
 
 
 # -- evaluation ---------------------------------------------------------------

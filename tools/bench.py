@@ -11,7 +11,11 @@ Run from anywhere; it works on the checkout it lives in.  It runs:
   import: a 20-episode ``ddpg.train`` at the default config and seed 7,
   its dataset built before the timer, and 3-episode deployments at seed 7
   of ``ddafl`` (the initial actor of agent seed 3, the policy perfbench
-  deploys), ``plain_afl`` and ``sync_fl``, dataset build included;
+  deploys), ``plain_afl`` and ``sync_fl``, dataset build included.  Each
+  job records its wall time and, over the same stretch, the CPU time of
+  its main process (``RUSAGE_SELF``) and of the processes it forked and
+  joined (``RUSAGE_CHILDREN``): training's learner and a deployment's
+  cohort helper, which perfbench's ``cpu_ms_per_slot`` leaves out;
 * the Tier-1 suite once, for its wall time and the five slowest steps that
   ``pytest --durations=5`` lists.
 
@@ -44,9 +48,10 @@ TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors", "--durations=5"]
 
 # Runs in a fresh interpreter: argv is the src directory and a job name;
-# prints the job's seconds, the import left out.
+# prints the job's wall, own CPU and children's CPU seconds as JSON, the
+# import left out.
 CHILD = """
-import sys, time
+import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from dataclasses import replace
 import numpy as np
@@ -54,18 +59,24 @@ from vecafl import ddpg, harness
 from vecafl.config import SimConfig
 from vecafl.world import build_dataset
 
+def clocks():
+    cpu = [resource.getrusage(who) for who in (resource.RUSAGE_SELF,
+                                               resource.RUSAGE_CHILDREN)]
+    return [time.perf_counter()] + [u.ru_utime + u.ru_stime for u in cpu]
+
 job, cfg = sys.argv[2], SimConfig()
 if job == "train":
     cfg = replace(cfg, train_episodes=20)
     dataset = build_dataset(cfg, 7)
-    start = time.perf_counter()
+    start = clocks()
     ddpg.train(cfg, dataset, 7)
 else:
     policy = ddpg.TrainResult(ddpg.init_agent(cfg, 3), np.zeros(0), [], [],
                               "") if job == "ddafl" else None
-    start = time.perf_counter()
+    start = clocks()
     harness.run_experiment(job, cfg, 7, pretrained=policy)
-print(time.perf_counter() - start)
+print(json.dumps(dict(zip(("wall_s", "cpu_self_s", "cpu_children_s"),
+                          (b - a for a, b in zip(start, clocks()))))))
 """
 JOBS = {"ddpg.train_20_episodes": "train", "deploy_ddafl": "ddafl",
         "deploy_plain_afl": "plain_afl", "deploy_sync_fl": "sync_fl"}
@@ -115,12 +126,13 @@ def run_perfbench(workload: str, seed: int, seconds: int) -> dict:
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
 
-def time_job(job: str) -> float:
+def time_job(job: str) -> dict:
+    """The job's ``wall_s``, ``cpu_self_s`` and ``cpu_children_s``."""
     done = subprocess.run([sys.executable, "-c", CHILD, str(SRC), job],
                           cwd=ROOT, capture_output=True, text=True)
     if done.returncode != 0:
         raise BenchError(f"timing {job} failed:\n{done.stderr[-2000:]}")
-    return float(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def run_tier1() -> dict:
@@ -159,8 +171,9 @@ def machine() -> dict:
 
 
 def medians(runs: list) -> dict:
-    return {name: statistics.median(r["metrics"][name] for r in runs)
-            for name in runs[0]["metrics"]}
+    """Per key of the runs' dicts, the median over the runs."""
+    return {name: statistics.median(r[name] for r in runs)
+            for name in runs[0]}
 
 
 def main(argv=None) -> int:
@@ -184,7 +197,9 @@ def main(argv=None) -> int:
     for _ in range(REPEATS):
         for name, job in JOBS.items():
             timings[name].append(time_job(job))
-            print(f"{name}: {timings[name][-1]:.2f} s", flush=True)
+            print(f"{name}: " + ", ".join(
+                f"{k} {v:.2f}" for k, v in timings[name][-1].items()),
+                flush=True)
     tier1 = run_tier1()
     print(f"tier-1: {tier1['wall_s']:.0f} s, {tier1['summary']}", flush=True)
 
@@ -194,12 +209,12 @@ def main(argv=None) -> int:
         "machine": {**machine(), "load_start": load_start,
                     "load_end": os.getloadavg()},
         "perfbench": {"run_seconds": seconds, "seeds": list(SEEDS),
-                      "medians": {w: medians(runs)
+                      "medians": {w: medians([r["metrics"] for r in runs])
                                   for w, runs in perf.items()},
                       "runs": perf},
         "timings_s": {"repeats": REPEATS,
-                      "medians": {k: statistics.median(v)
-                                  for k, v in timings.items()},
+                      "medians": {job: medians(runs)
+                                  for job, runs in timings.items()},
                       "runs": timings},
         "tier1": tier1,
         "wall_s": time.perf_counter() - began,
