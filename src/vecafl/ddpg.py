@@ -19,7 +19,7 @@ import numpy as np
 
 from . import BLAS_THREADS
 from .config import SimConfig, config_hash, validate_config
-from .engine import SCHEMES, ChildFailed, Forked, Scheme, run_phase
+from .engine import SCHEMES, Forked, Scheme, run_phase, spare_cpu
 # evaluate is unused here but stays bound: perfbench's slot clock patches it
 from .model import (ModelParams, backprop_from_logits, evaluate,
                     forward_stack, init_params, input_gradient, load_params,
@@ -177,7 +177,7 @@ def critic_update(nets: AgentNets, svecs: np.ndarray, avecs: np.ndarray,
     q = logits[:, 0]
     diff = q - targets
     dlogits = (2.0 / q.size) * diff[:, None]
-    grads, _ = backprop_from_logits(nets.critic, acts, dlogits)
+    grads = backprop_from_logits(nets.critic, acts, dlogits)
     return params_axpy(nets.critic, grads, -lr), float(np.mean(diff ** 2))
 
 
@@ -196,7 +196,7 @@ def actor_update(nets: AgentNets, svecs: np.ndarray, lr: float) -> ModelParams:
     dx = input_gradient(nets.critic, acts_c, dmean_q)
     dactions = dx[:, state_dim:]
     dlogits_a = dactions * actions * (1.0 - actions)
-    grads, _ = backprop_from_logits(nets.actor, acts_a, dlogits_a)
+    grads = backprop_from_logits(nets.actor, acts_a, dlogits_a)
     return params_axpy(nets.actor, grads, lr)
 
 
@@ -214,10 +214,6 @@ class TrainingDiverged(ValueError):
     """An agent update left a non-finite critic loss or network."""
 
 
-class LearnerFailed(ChildFailed):
-    """The learner process died, or exited with a non-zero code."""
-
-
 @dataclass
 class TrainResult:
     nets: AgentNets
@@ -227,68 +223,87 @@ class TrainResult:
     rng_digest: str
 
 
-class _Learner(Forked):
-    """The agent's four nets and updates, in a process forked by ``train``.
-    It writes each new actor, and all four nets at the pipe's EOF, into a
-    ``MAP_SHARED`` buffer, so nothing larger than a minibatch is pickled."""
+def _learn(nets: AgentNets, batch, cfg: SimConfig) -> bool:
+    """One agent update of ``nets`` on a minibatch; whether the critic's
+    loss, the critic and the actor stayed finite.  Only then do the
+    targets move."""
+    svecs, avecs, rews, nvecs = batch
+    targets = critic_targets(nets, rews, nvecs, cfg.discount)
+    nets.critic, mse = critic_update(nets, svecs, avecs, targets,
+                                     cfg.critic_lr)
+    nets.actor = actor_update(nets, svecs, cfg.actor_lr)
+    finite = (math.isfinite(mse) and np.isfinite(nets.critic.vector).all()
+              and np.isfinite(nets.actor.vector).all())
+    if finite:
+        nets.target_critic = soft_update(nets.target_critic, nets.critic,
+                                         cfg.soft_tau)
+        nets.target_actor = soft_update(nets.target_actor, nets.actor,
+                                        cfg.soft_tau)
+    return finite
 
-    failure = LearnerFailed
+
+class _Learner(Forked):
+    """The agent's four nets and their updates.
+
+    Where ``spare_cpu()`` holds, the updates run in a forked process.  It
+    writes each new actor, and all four nets at the pipe's EOF, into a
+    ``MAP_SHARED`` buffer, so nothing larger than a minibatch is pickled,
+    and ``close`` takes all four back.  Otherwise ``update`` runs each one
+    at once in this process, and none is ever pending.
+    """
+
     role = "agent's learner"
+    _proc = None                  # no process: updates run in this one
 
     def __init__(self, nets: AgentNets, cfg: SimConfig):
         self.nets, self.cfg, self.pending = nets, cfg, None
-        sizes = [getattr(nets, name).vector.size for name in _NET_FILES]
-        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
-        self._shared = dict(zip(_NET_FILES,
-                                np.split(flat, np.cumsum(sizes)[:-1])))
-        self._fork()
+        if spare_cpu():
+            sizes = [getattr(nets, name).vector.size for name in _NET_FILES]
+            flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
+            self._shared = dict(zip(_NET_FILES,
+                                    np.split(flat, np.cumsum(sizes)[:-1])))
+            self._fork()
 
     def _serve(self, conn) -> None:
         os.nice(19)               # on a shared CPU, the slot loop goes first
-        nets, cfg = self.nets, self.cfg
         try:
             while True:
-                svecs, avecs, rews, nvecs = conn.recv()
-                targets = critic_targets(nets, rews, nvecs, cfg.discount)
-                nets.critic, mse = critic_update(nets, svecs, avecs, targets,
-                                                 cfg.critic_lr)
-                nets.actor = actor_update(nets, svecs, cfg.actor_lr)
-                finite = (math.isfinite(mse)
-                          and np.isfinite(nets.critic.vector).all()
-                          and np.isfinite(nets.actor.vector).all())
+                finite = _learn(self.nets, conn.recv(), self.cfg)
                 if finite:
-                    nets.target_critic = soft_update(nets.target_critic,
-                                                     nets.critic, cfg.soft_tau)
-                    nets.target_actor = soft_update(nets.target_actor,
-                                                    nets.actor, cfg.soft_tau)
-                    self._shared["actor"][...] = nets.actor.vector
+                    self._shared["actor"][...] = self.nets.actor.vector
                 conn.send(finite)
         except (EOFError, BrokenPipeError):
             for name in _NET_FILES:
-                self._shared[name][...] = getattr(nets, name).vector
+                self._shared[name][...] = getattr(self.nets, name).vector
 
     def update(self, batch, where) -> None:
-        self._pipe(self._conn.send, batch)
-        self.pending = where      # the (episode, slot) that names the update
+        """Learn from ``batch``, the update that (episode, slot) ``where``
+        names."""
+        self.pending = where
+        if self._proc is None:
+            self._settled(_learn(self.nets, batch, self.cfg))
+        else:
+            self._conn.send(batch)
 
     def settle(self) -> None:
         """Wait for the pending update and take its actor."""
+        self._settled(self._conn.recv())
+        self.nets.actor = self._take("actor")
+
+    def _settled(self, finite: bool) -> None:
         (episode, slot), self.pending = self.pending, None
-        if not self._pipe(self._conn.recv):
+        if not finite:
             raise TrainingDiverged(
                 f"training diverged in episode {episode}, slot {slot}: the "
                 f"critic loss or a network is not finite; lower critic_lr "
                 f"({self.cfg.critic_lr:g}) or actor_lr "
                 f"({self.cfg.actor_lr:g})")
-        self.nets.actor = self._take("actor")
 
-    def finish(self) -> AgentNets:
-        """Settle, end the learner and take all four nets."""
-        if self.pending is not None:
-            self.settle()
-        self.close()
-        self._check_exit()
-        return AgentNets(*map(self._take, _NET_FILES))
+    def close(self) -> None:
+        """Join the learner process, if any, and take all four nets."""
+        if self._proc is not None:
+            super().close()
+            self.nets = AgentNets(*map(self._take, _NET_FILES))
 
     def _take(self, name: str) -> ModelParams:
         return ModelParams(self._shared[name].copy(),
@@ -307,9 +322,10 @@ def train(cfg: SimConfig, dataset, seed: int,
     ``engine.run_phase``: the actor plus exploration noise selects, and
     each slot's transition is stored and learned from.  An update that
     leaves the critic's loss, the critic or the actor non-finite raises
-    ``TrainingDiverged``.  Updates run in a ``_Learner`` while the next
-    slot trains on the old actor's pick; ``settle`` picks with the new one
-    and the same noise, so the bytes are those of an in-slot update.
+    ``TrainingDiverged``.  With a spare CPU, updates run in a forked
+    ``_Learner`` while the next slot trains on the old actor's pick;
+    ``settle`` picks with the new one and the same noise, so the bytes are
+    those of the in-slot update that runs otherwise.
     """
     validate_config(cfg)
     k = cfg.vehicle_count
@@ -349,7 +365,8 @@ def train(cfg: SimConfig, dataset, seed: int,
                           select, observe,
                           scheme=scheme._replace(defense=False),
                           restart_global=True)
-        nets = learner.finish()
+        if learner.pending is not None:
+            learner.settle()
     finally:
         learner.close()
     episode_rewards = np.zeros(cfg.train_episodes)
@@ -359,8 +376,8 @@ def train(cfg: SimConfig, dataset, seed: int,
     states = "".join(json.dumps(r.bit_generator.state, sort_keys=True,
                                 default=str) for r in (noise_rng, sample_rng))
     rng_digest = hashlib.sha256(states.encode()).hexdigest()[:16]
-    return TrainResult(nets, episode_rewards, phase.records, phase.digests,
-                       rng_digest)
+    return TrainResult(learner.nets, episode_rewards, phase.records,
+                       phase.digests, rng_digest)
 
 
 def greedy_select(actor: ModelParams, cfg: SimConfig):

@@ -56,16 +56,22 @@ class FilterSoundnessError(RuntimeError):
 
 
 class ChildFailed(RuntimeError):
-    """A forked child process died, or exited with a non-zero code, which
-    ``exitcode`` holds."""
+    """A forked child process died, or exited with a non-zero code: the
+    child's ``role`` and its ``exitcode`` (``-9`` for a SIGKILL)."""
 
-    def __init__(self, message: str, exitcode: int):
-        super().__init__(message)
-        self.exitcode = exitcode
+    def __init__(self, role: str, exitcode: int):
+        super().__init__(f"the {role} process exited with code {exitcode}")
+        self.role, self.exitcode = role, exitcode
 
 
-class HelperFailed(ChildFailed):
-    """The cohort helper process died, or exited with a non-zero code."""
+def spare_cpu() -> bool:
+    """The one rule for forking a child: this process may run on two CPUs
+    or more (where its affinity cannot be read, it may not), is not
+    daemonic, as a ``multiprocessing.Pool`` worker is, and has no live
+    child, which would own the second core."""
+    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    return (len(cpus) >= 2 and not multiprocessing.current_process().daemon
+            and not multiprocessing.active_children())
 
 
 class Forked:
@@ -73,12 +79,10 @@ class Forked:
 
     ``_fork`` starts it running ``_serve(conn)``.  EOF on the pipe, from
     ``close`` or a dead parent, ends it.  A pipe that breaks in the parent
-    means the child died: ``_pipe`` then joins it and raises ``failure``,
-    naming its exit code (``-9`` for a SIGKILL).
+    means the child died; the parent's ``finally`` then calls ``close``,
+    the one join, which raises ``ChildFailed`` for any non-zero exit.
+    Each subclass names its ``role``.
     """
-
-    failure = ChildFailed
-    role = "child"
 
     def _fork(self) -> None:
         ctx = multiprocessing.get_context("fork")
@@ -94,21 +98,8 @@ class Forked:
     def close(self) -> None:
         self._conn.close()        # EOF: the child finishes and exits
         self._proc.join()
-
-    def _check_exit(self) -> None:
-        """Raise ``failure`` unless the joined child exited with code 0."""
-        code = self._proc.exitcode
-        if code != 0:
-            raise self.failure(f"the {self.role} process exited with code "
-                               f"{code}", code)
-
-    def _pipe(self, io, *args):
-        try:
-            return io(*args)
-        except (EOFError, OSError):   # the child died
-            self.close()
-            self._check_exit()
-            raise
+        if self._proc.exitcode != 0:
+            raise ChildFailed(self.role, self._proc.exitcode)
 
 
 @dataclass
@@ -225,7 +216,6 @@ class CohortHelper(Forked):
     training streams, and gets back the trained vectors and losses.
     """
 
-    failure = HelperFailed
     role = "cohort helper"
 
     def __init__(self):
@@ -267,7 +257,7 @@ class CohortHelper(Forked):
             key = id(shards[i])
             if key not in self._sent:
                 self._sent[key] = new[key] = shards[i]
-        self._pipe(self._conn.send, (
+        self._conn.send((
             fresh, new, {id(starts[i]): starts[i] for i in there},
             [(id(starts[i]), id(shards[i]), rngs[i]) for i in there], hyper))
         try:
@@ -276,7 +266,7 @@ class CohortHelper(Forked):
                                 [rngs[i] for i in here], *hyper)
         finally:
             # read the reply even if this half raised: the pipe stays in step
-            got = self._pipe(self._conn.recv)
+            got = self._conn.recv()
         if isinstance(got, Exception):
             raise got
         out = [None] * len(starts)
@@ -285,14 +275,6 @@ class CohortHelper(Forked):
         for i, (vector, loss) in zip(there, got):
             out[i] = (ModelParams(vector, starts[i].architecture), loss)
         return out
-
-
-def _wants_helper() -> bool:
-    """Whether ``run_phase`` forks a ``CohortHelper``: this process may run
-    on two CPUs or more, and has no live child, such as a training phase's
-    learner, which owns the second core."""
-    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
-    return len(cpus) >= 2 and not multiprocessing.active_children()
 
 
 def _local_updates(world: World, vids, snapshot: ModelParams,
@@ -497,8 +479,8 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
     the round; if its mask differs, the models go back to the head of the
     slot and the round, which changes no World state, runs again on it.
 
-    When ``_wants_helper``, a phase forks one ``CohortHelper`` to train
-    part of every slot's cohort, and joins it before it returns or raises.
+    When ``spare_cpu()``, a phase forks one ``CohortHelper`` to train part
+    of every slot's cohort, and joins it before it returns or raises.
     """
     def play(mask) -> SlotResult:
         if scheme.sync:
@@ -511,7 +493,7 @@ def run_phase(cfg: SimConfig, dataset, seed: int, phase: str, episodes: int,
     records, digests = [], []
     admissions = np.zeros(k)
     global_model = None
-    helper = CohortHelper() if _wants_helper() else None
+    helper = CohortHelper() if spare_cpu() else None
     try:
         for episode in range(1, episodes + 1):
             world = World(cfg, dataset, seed, phase, episode)

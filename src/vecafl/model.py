@@ -128,11 +128,10 @@ def forward_stack(params: ModelParams, x: np.ndarray):
 
 
 def backprop_from_logits(params: ModelParams, acts, dlogits: np.ndarray):
-    """Push a gradient at the output logits back through the stack.
-
-    Returns (grads, dinput) where grads mirrors the parameter layout and
-    dinput is the gradient with respect to the input rows.  Hidden layers
-    use the relu mask of the cached activations.
+    """Push a gradient at the output logits back through the stack to the
+    parameter gradients, returned in the parameter layout.  Hidden layers
+    use the relu mask of the cached activations.  The gradient with
+    respect to the input rows is ``input_gradient``'s.
     """
     grads = ModelParams(np.empty_like(params.vector), params.architecture)
     delta = dlogits
@@ -140,15 +139,14 @@ def backprop_from_logits(params: ModelParams, acts, dlogits: np.ndarray):
             zip(params.layers, grads.layers)))):
         np.matmul(acts[i].T, delta, out=gw)
         np.sum(delta, axis=0, out=gb)
-        delta = delta @ w.T
         if i > 0:
-            delta = delta * (acts[i] > 0.0)
-    return grads, delta
+            delta = (delta @ w.T) * (acts[i] > 0.0)
+    return grads
 
 
 def input_gradient(params: ModelParams, acts, dlogits: np.ndarray):
-    """The ``dinput`` of ``backprop_from_logits`` alone, by the same
-    products, without the parameter gradients."""
+    """Push a gradient at the output logits back through the stack to the
+    input rows, without the parameter gradients."""
     delta = dlogits
     for i, (w, _) in reversed(list(enumerate(params.layers))):
         delta = delta @ w.T

@@ -9,8 +9,14 @@ import pytest
 
 import vecafl
 from vecafl.config import SimConfig, validate_config
+from vecafl.engine import spare_cpu
 from vecafl.model import LabeledBatch, ModelParams
 from vecafl.rng import substream
+
+
+# for the tests that reach a forked child's process, which the package
+# forks only where ``spare_cpu`` holds
+TWO_CPUS = pytest.mark.skipif(not spare_cpu(), reason="no spare CPU")
 
 
 def tiny_cfg(**overrides) -> SimConfig:

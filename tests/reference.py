@@ -3,6 +3,8 @@
 ``forward`` and ``gradient`` are the solo network: one learner's class
 probabilities and its exact cross-entropy gradient, built from the
 package's own ``forward_stack`` and ``backprop_from_logits``.
+``full_backprop`` is the textbook backward pass, every layer's gradients
+and the input rows' together, which ``input_gradient`` must match.
 ``solo_sgd`` trains one learner with them a minibatch at a time, and
 ``model.train_cohort`` must reproduce it bit for bit.  ``parse_metrics``
 reads a ``metrics.csv`` back into rows.
@@ -43,8 +45,20 @@ def gradient(params: ModelParams, batch: LabeledBatch) -> ModelParams:
     dlogits = softmax(logits)
     dlogits[np.arange(n), batch.labels] -= 1.0
     dlogits /= n
-    grads, _ = backprop_from_logits(params, acts, dlogits)
-    return grads
+    return backprop_from_logits(params, acts, dlogits)
+
+
+def full_backprop(params: ModelParams, acts, dlogits: np.ndarray):
+    """(weight gradients, bias gradients, input gradient) of a gradient at
+    the output logits, one layer at a time from the last."""
+    gws, gbs, delta = [], [], dlogits
+    for i in reversed(range(len(params.architecture) - 1)):
+        gws.insert(0, acts[i].T @ delta)
+        gbs.insert(0, delta.sum(axis=0))
+        delta = delta @ weights(params)[i].T
+        if i > 0:
+            delta = delta * (acts[i] > 0.0)
+    return gws, gbs, delta
 
 
 def solo_sgd(start, shard, rounds, eta, batch_size, rng):

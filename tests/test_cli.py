@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import child_env, tiny_cfg
+from conftest import TWO_CPUS, child_env, tiny_cfg
 from vecafl.cli import main
 from vecafl.config import (SAMPLE_BUDGET, load_config, save_config,
                            validate_config)
@@ -294,6 +294,7 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+@TWO_CPUS
 def test_a_dead_learner_is_not_reported_as_a_config_error(cfg_file,
                                                           tmp_path):
     done = subprocess.run(

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (make_params, params_allclose, params_equal,
+from conftest import (TWO_CPUS, make_params, params_allclose, params_equal,
                       tiny_122_net, tiny_cfg)
 from reference import biases, weights
 import vecafl
@@ -22,7 +22,7 @@ from vecafl.ddpg import (AgentNets, OUNoise, ReplayBuffer, actor_forward,
                          actor_update, binarize_action, critic_forward,
                          critic_targets, critic_update, init_agent,
                          soft_update, state_vector)
-from vecafl.engine import SCHEMES, compute_reward
+from vecafl.engine import SCHEMES, ChildFailed, compute_reward
 from vecafl.harness import run_experiment
 from vecafl.model import (ModelParams, forward_stack, init_params,
                           params_copy, params_to_bytes)
@@ -472,18 +472,54 @@ def test_train_ignores_the_schemes_filter():
     # the first update: the critic's step is so large that the actor's
     # overflows, while the loss that update reports is still finite
     (1e300, 1e-4, "episode 1, slot 3")])
-def test_train_raises_when_an_update_diverges(critic_lr, actor_lr, where):
-    # unchecked, training ran on with NaN nets
+def test_train_raises_when_an_update_diverges(monkeypatch, critic_lr,
+                                              actor_lr, where):
+    # unchecked, training ran on with NaN nets; the learner updates in a
+    # forked process or, without a spare CPU, in the slot
     cfg = agent_cfg(hidden1=16, hidden2=12, critic_lr=critic_lr,
                     actor_lr=actor_lr, train_episodes=3)
     ds = build_dataset(cfg, 2)
     rates = f"critic_lr ({critic_lr:g}) or actor_lr ({actor_lr:g})"
-    with np.errstate(all="ignore"), pytest.raises(
-            ddpg.TrainingDiverged,
-            match=f"in {where}: .* {re.escape(rates)}$"):
-        ddpg.train(cfg, ds, 2)
+    for spare in (True, False):
+        monkeypatch.setattr(ddpg, "spare_cpu", lambda: spare)
+        with np.errstate(all="ignore"), pytest.raises(
+                ddpg.TrainingDiverged,
+                match=f"in {where}: .* {re.escape(rates)}$"):
+            ddpg.train(cfg, ds, 2)
+        assert multiprocessing.active_children() == []
     assert issubclass(ddpg.TrainingDiverged, ValueError)
-    assert multiprocessing.active_children() == []
+
+
+@TWO_CPUS
+def test_a_rerun_in_every_update_slot_changes_no_byte(monkeypatch):
+    # each early pick made with an update pending is the complement of the
+    # settled pick, so every such slot's round runs twice, the second time
+    # from the models at the head of the slot
+    cfg = agent_cfg(train_episodes=3)
+    ds = build_dataset(cfg, 38)
+    want = ddpg.train(cfg, ds, 38)
+    real, reruns = ddpg.run_phase, []
+
+    def forcing(cfg, dataset, seed, phase, episodes, select_fn, *rest, **kw):
+        def select(world, prev_action):
+            weights, mask, *settle = select_fn(world, prev_action)
+            if not settle:
+                return weights, mask
+            settled = settle[0]()
+            reruns.append((world.episode, world.slot))
+            return weights, ~settled[1], lambda: settled
+        return real(cfg, dataset, seed, phase, episodes, select, *rest, **kw)
+
+    monkeypatch.setattr(ddpg, "run_phase", forcing)
+    got = ddpg.train(cfg, ds, 38)
+    # the first update is pending from the fourth slot on
+    assert len(reruns) == cfg.train_episodes * cfg.slots_per_episode - 3
+    for name in ("actor", "critic", "target_actor", "target_critic"):
+        assert params_to_bytes(getattr(got.nets, name)) \
+            == params_to_bytes(getattr(want.nets, name))
+    assert repr(got.records) == repr(want.records)
+    assert np.array_equal(got.episode_rewards, want.episode_rewards)
+    assert (got.digests, got.rng_digest) == (want.digests, want.rng_digest)
 
 
 def test_train_leaves_no_learner_process_running():
@@ -493,6 +529,7 @@ def test_train_leaves_no_learner_process_running():
     assert multiprocessing.active_children() == []
 
 
+@TWO_CPUS
 def test_a_learner_whose_pipe_closes_exits_within_a_second():
     # a parent that dies closes its end of the pipe just so
     cfg = agent_cfg()
@@ -503,6 +540,7 @@ def test_a_learner_whose_pipe_closes_exits_within_a_second():
     assert multiprocessing.active_children() == []
 
 
+@TWO_CPUS
 @pytest.mark.parametrize("while_updating", [False, True])
 def test_a_killed_learner_raises_learner_failed(monkeypatch, while_updating):
     # SIGKILL after the second update: the learner dies just before the
@@ -520,13 +558,15 @@ def test_a_killed_learner_raises_learner_failed(monkeypatch, while_updating):
 
     monkeypatch.setattr(ddpg._Learner, "update", killing)
     cfg = agent_cfg()
-    with pytest.raises(ddpg.LearnerFailed, match="learner process exited "
-                                                 "with code -9$") as caught:
+    with pytest.raises(ChildFailed, match="learner process exited "
+                                          "with code -9$") as caught:
         ddpg.train(cfg, build_dataset(cfg, 37), 37)
-    assert caught.value.exitcode == -9
+    assert (caught.value.role, caught.value.exitcode) \
+        == ("agent's learner", -9)
     assert multiprocessing.active_children() == []
 
 
+@TWO_CPUS
 def test_the_learner_updates_as_the_slot_did():
     # the learner's nets after a few minibatches are those of running the
     # same update sequence in this process
@@ -550,11 +590,10 @@ def test_the_learner_updates_as_the_slot_did():
             learner.settle()
             assert params_to_bytes(learner.nets.actor) \
                 == params_to_bytes(here.actor)
-        there = learner.finish()
     finally:
         learner.close()
     for name in ("actor", "critic", "target_actor", "target_critic"):
-        assert params_to_bytes(getattr(there, name)) \
+        assert params_to_bytes(getattr(learner.nets, name)) \
             == params_to_bytes(getattr(here, name))
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import vecafl
 import conftest
-from conftest import make_params, params_allclose
+from conftest import TWO_CPUS, make_params, params_allclose
 from reference import biases, weights
 from vecafl import engine, harness
 from vecafl.config import ConfigError
@@ -647,10 +647,6 @@ def test_run_phase_refuses_a_bad_config_before_any_slot(key, value):
 # -- the cohort helper -------------------------------------------------------------
 
 
-TWO_CPUS = pytest.mark.skipif(not engine._wants_helper(),
-                              reason="fewer than two usable CPUs")
-
-
 @pytest.mark.parametrize("sizes,halves", [
     # sync_fl at the default config: four full shards and the weak one's
     ([1000, 1000, 1000, 250, 1000], ([0, 2, 3], [1, 4])),
@@ -705,8 +701,7 @@ def test_a_split_cohort_trains_each_learner_as_one_cohort_does():
                     == [(params_to_bytes(p), loss) for p, loss in want]
                 world.advance()
     finally:
-        helper.close()
-    assert helper._proc.exitcode == 0
+        helper.close()            # raises unless the helper exited with 0
     # the helper trains vehicles 0 and 2, from one start
     assert [(fresh, len(new), len(starts), len(learners))
             for fresh, new, starts, learners, _ in pipe.sent] \
@@ -756,7 +751,6 @@ def test_an_error_in_either_half_is_raised_and_the_next_cohort_trains(odd):
                                   cfg.local_lr, 10)
     finally:
         helper.close()
-    assert helper._proc.exitcode == 0
     want = train_cohort([start] * 4, shards, rngs(), 1, cfg.local_lr, 10)
     assert [(params_to_bytes(p), loss) for p, loss in got] \
         == [(params_to_bytes(p), loss) for p, loss in want]
@@ -787,25 +781,40 @@ def test_a_phase_with_a_live_child_forks_no_helper():
     child = ctx.Process(target=done.wait, daemon=True)
     child.start()
     try:
-        assert not engine._wants_helper()
+        assert not engine.spare_cpu()
     finally:
         done.set()
         child.join(10)
     assert child.exitcode == 0
 
 
-# runs one sync_fl cell on one CPU and prints how many processes it forked
+def write_cells(out_dir) -> None:
+    """A sync_fl and a ddafl cell, each in its folder under ``out_dir``;
+    the ddafl cell's agent learns from its third training slot on."""
+    cfg = tiny_cfg(test_episodes=2, train_episodes=2, hidden1=16, hidden2=8,
+                   replay_batch=2)
+    for scheme in ("sync_fl", "ddafl"):
+        harness.run_experiment(scheme, cfg, 68,
+                               out_dir=os.path.join(out_dir, scheme))
+
+
+def assert_same_files(one, two) -> None:
+    names = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file())
+             for d in (one, two)]
+    assert names[0] == names[1] and names[0]
+    for name in names[0]:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+# writes the cells on one CPU and prints how many processes it forked
 ONE_CPU = """
 import os, sys
 sys.path.insert(0, sys.argv[2])
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 forks = []
 os.register_at_fork(before=lambda: forks.append(1))
-from conftest import tiny_cfg
-from vecafl import harness
-cfg = tiny_cfg(dataset_size=260, eval_size=40, slots_per_episode=4,
-               test_episodes=2, train_episodes=1)
-harness.run_experiment("sync_fl", cfg, 68, out_dir=sys.argv[1])
+from test_engine import write_cells
+write_cells(sys.argv[1])
 print(len(forks))
 """
 
@@ -813,6 +822,7 @@ print(len(forks))
 @TWO_CPUS
 def test_on_one_cpu_a_deployment_forks_no_helper_and_writes_the_same_bytes(
         monkeypatch, tmp_path):
+    # nor does training fork a learner
     done = subprocess.run(
         [sys.executable, "-c", ONE_CPU, str(tmp_path / "one"),
          os.path.dirname(conftest.__file__)],
@@ -823,21 +833,28 @@ def test_on_one_cpu_a_deployment_forks_no_helper_and_writes_the_same_bytes(
     forked = []
 
     def counting(self):
-        forked.append(1)
+        forked.append(self.role)
         real(self)
 
-    real = engine.CohortHelper._fork
-    monkeypatch.setattr(engine.CohortHelper, "_fork", counting)
-    harness.run_experiment("sync_fl", tiny_cfg(test_episodes=2), 68,
-                           out_dir=str(tmp_path / "two"))
-    assert forked == [1]
-    one, two = (sorted(p.relative_to(tmp_path / d) for p in
-                       (tmp_path / d).rglob("*") if p.is_file())
-                for d in ("one", "two"))
-    assert one == two and one
-    for name in one:
-        assert (tmp_path / "one" / name).read_bytes() \
-            == (tmp_path / "two" / name).read_bytes(), name
+    real = engine.Forked._fork
+    monkeypatch.setattr(engine.Forked, "_fork", counting)
+    write_cells(str(tmp_path / "two"))
+    assert forked == ["cohort helper", "agent's learner", "cohort helper"]
+    assert_same_files(tmp_path / "one", tmp_path / "two")
+
+
+def test_cells_in_a_pool_worker_run_in_one_process_and_write_the_same_bytes(
+        tmp_path):
+    # a daemonic process may not fork, so neither child is forked there
+    pool = multiprocessing.get_context("fork").Pool(1)
+    try:
+        pool.apply_async(write_cells, (str(tmp_path / "pool"),)).get(300)
+    finally:
+        pool.close()
+        pool.join()
+    write_cells(str(tmp_path / "here"))
+    assert_same_files(tmp_path / "pool", tmp_path / "here")
+    assert multiprocessing.active_children() == []
 
 
 def kill_helper():
@@ -868,12 +885,32 @@ def test_a_killed_helper_raises_helper_failed(monkeypatch, while_training):
         kill_helper()
         return real(*args)
 
-    with pytest.raises(engine.HelperFailed,
+    with pytest.raises(engine.ChildFailed,
                        match="cohort helper process exited with code -9$"
                        ) as caught:
         run_phase(cfg, build_dataset(cfg, 69), 69, "test", 1, select,
                   scheme=SCHEMES["sync_fl"])
-    assert caught.value.exitcode == -9
+    assert (caught.value.role, caught.value.exitcode) == ("cohort helper", -9)
+    assert multiprocessing.active_children() == []
+
+
+@TWO_CPUS
+def test_a_helper_that_exits_non_zero_after_its_last_reply_is_reported(
+        monkeypatch):
+    serve = engine.CohortHelper._serve
+
+    def exiting(self, conn):
+        serve(self, conn)
+        sys.exit(3)
+
+    monkeypatch.setattr(engine.CohortHelper, "_serve", exiting)
+    cfg = tiny_cfg()
+    with pytest.raises(engine.ChildFailed,
+                       match="cohort helper process exited with code 3$"
+                       ) as caught:
+        run_phase(cfg, build_dataset(cfg, 71), 71, "test", 1, select_all(3),
+                  scheme=SCHEMES["sync_fl"])
+    assert (caught.value.role, caught.value.exitcode) == ("cohort helper", 3)
     assert multiprocessing.active_children() == []
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import (balanced_batch, make_params, params_allclose,
                       params_equal, tiny_122_net)
 from vecafl import model
-from reference import biases, forward, gradient, solo_sgd, weights
+from reference import (biases, forward, full_backprop, gradient, solo_sgd,
+                       weights)
 from vecafl.model import (LabeledBatch, ModelParams, _layer_views,
                           backprop_from_logits, cross_entropy, evaluate,
                           forward_stack, init_params, input_gradient,
@@ -501,12 +502,16 @@ def test_gradient_matches_plain_two_dimensional_backprop():
 @pytest.mark.parametrize("arch,rows", [((8, 6, 5, 1), 13),
                                        ((25, 40, 30, 1), 64)])
 def test_input_gradient_is_the_backprop_input_gradient(arch, rows):
-    # the actor update's critic pass: a mean over the rows of one output
+    # the actor update's critic pass: a mean over the rows of one output;
+    # the two halves of a full backprop, each bit for bit
     params = init_params(arch, substream(9, "input-grad"))
     _, acts = forward_stack(params, random_shard(rows, arch[0], 10).inputs)
     dout = np.full((rows, 1), 1.0 / rows)
-    assert np.array_equal(input_gradient(params, acts, dout),
-                          backprop_from_logits(params, acts, dout)[1])
+    gws, gbs, dinput = full_backprop(params, acts, dout)
+    assert np.array_equal(input_gradient(params, acts, dout), dinput)
+    grads = backprop_from_logits(params, acts, dout)
+    for got, want in zip(weights(grads) + biases(grads), gws + gbs):
+        assert np.array_equal(got, want)
 
 
 # -- evaluation ---------------------------------------------------------------
